@@ -6,19 +6,26 @@ an admitted audit record (and whether every admit was recorded). UNSAT means
 complete enumeration found no violation; SAT carries a concrete,
 minimal-length counter-example that replays.
 
+One engine does the enumeration: for each length n = 1..k_max it makes one
+depth-first pass, leftmost symbol first, that steps every prefix once and
+carries the (world, audit) state down the recursion, so memory is O(k_max).
+Only the pass's leaf step is checked, since every shorter trace was already
+found clean by an earlier pass; the first violating leaf is therefore the
+minimal-length, leftmost witness, and its steps are the path that reached it.
+
 The alphabet is the declared kinds plus OUT (the rejected-envelope symbol).
-When a model declares itself memoryless in the symbol class, traces are
-equivalence-reduced to IN/OUT class sequences and the verdict reports both
-the raw (semantic) and reduced (enumerated) counts; the reduction is
-validated against unpruned enumeration in the test suite.
+When a model declares itself memoryless in the symbol class, the pass runs
+over one representative per class (IN weighted |kinds|, OUT weighted 1) and
+the verdict reports both the raw (semantic) and reduced (enumerated) counts;
+the reduction is validated against unpruned enumeration in the test suite.
+On a SAT verdict the raw count includes the witness's whole symbol class.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ._version import __version__
 from .canonical import document_hash
@@ -102,7 +109,6 @@ class RuntimeModel:
 def faithful_runtime(d_kinds: Sequence[str]) -> RuntimeModel:
     """The composed projector-protected runtime: execute exactly on admit,
     audit every step."""
-    _ = alphabet(d_kinds)  # validates the kind list shape
     return RuntimeModel(
         name="faithful",
         memoryless=True,
@@ -113,7 +119,6 @@ def faithful_runtime(d_kinds: Sequence[str]) -> RuntimeModel:
 
 def mutant_execute_on_deny(d_kinds: Sequence[str]) -> RuntimeModel:
     """Executes the envelope's effect even when the gate denied it."""
-    _ = alphabet(d_kinds)
     return RuntimeModel(
         name="execute-on-deny",
         memoryless=False,
@@ -124,7 +129,6 @@ def mutant_execute_on_deny(d_kinds: Sequence[str]) -> RuntimeModel:
 
 def mutant_skip_audit_on_admit(d_kinds: Sequence[str]) -> RuntimeModel:
     """Admits and executes but drops the audit record for admitted steps."""
-    _ = alphabet(d_kinds)
     return RuntimeModel(
         name="skip-audit-on-admit",
         memoryless=False,
@@ -136,7 +140,6 @@ def mutant_skip_audit_on_admit(d_kinds: Sequence[str]) -> RuntimeModel:
 def mutant_execute_without_envelope(d_kinds: Sequence[str]) -> RuntimeModel:
     """Spontaneously executes an effect no envelope requested (surfaced on
     denied steps, where no admitted record can account for it)."""
-    _ = alphabet(d_kinds)
     return RuntimeModel(
         name="execute-without-envelope",
         memoryless=False,
@@ -192,16 +195,10 @@ def step_model(
     return StepOutcome(index, symbol.key, decision, world, after, appended, new_audit)
 
 
-def violation_predicate(step: StepOutcome) -> bool:
-    """True iff this step breaks the biconditional: the world changed without
-    an admitted audit record for this step, or an admit went unrecorded."""
-    changed = step.world_after != step.world_before
-    has_admit_record = step.audit_appended == (step.symbol_key, "admit")
-    recorded = step.audit_appended is not None
-    return (changed and not has_admit_record) or (step.decision == "admit" and not recorded)
-
-
 def violation_class(step: StepOutcome) -> str | None:
+    """Which way this step breaks the biconditional, or None if it does not:
+    the world changed without an admitted audit record for this step, or an
+    admit went unrecorded."""
     changed = step.world_after != step.world_before
     recorded = step.audit_appended is not None
     if changed and recorded and step.audit_appended != (step.symbol_key, "admit"):
@@ -213,29 +210,40 @@ def violation_class(step: StepOutcome) -> str | None:
     return None
 
 
+def violation_predicate(step: StepOutcome) -> bool:
+    return violation_class(step) is not None
+
+
 def run_trace(model: RuntimeModel, symbols: Sequence[Symbol]) -> tuple[list[StepOutcome], int | None]:
-    """Step a full trace; returns the outcomes and the first violating index."""
+    """Step a trace up to its first violation; returns the outcomes and the
+    violating index (None if the whole trace is clean)."""
     world, audit = INITIAL_WORLD, EMPTY_AUDIT
     outcomes: list[StepOutcome] = []
-    violation: int | None = None
     for i, symbol in enumerate(symbols):
         outcome = step_model(model, world, audit, symbol, i)
         outcomes.append(outcome)
-        if violation is None and violation_predicate(outcome):
-            violation = i
-            break
-        world, audit = outcome.world_after, outcome.audit
-    return outcomes, violation
-
-
-def _first_violation(model: RuntimeModel, symbols: Sequence[Symbol]) -> int | None:
-    world, audit = INITIAL_WORLD, EMPTY_AUDIT
-    for i, symbol in enumerate(symbols):
-        outcome = step_model(model, world, audit, symbol, i)
         if violation_predicate(outcome):
-            return i
+            return outcomes, i
         world, audit = outcome.world_after, outcome.audit
-    return None
+    return outcomes, None
+
+
+def _traces(
+    model: RuntimeModel,
+    weighted: Sequence[tuple[Symbol, int]],
+    length: int,
+    path: tuple[StepOutcome, ...] = (),
+    weight: int = 1,
+) -> Iterator[tuple[tuple[StepOutcome, ...], int]]:
+    """Yield (steps, weight) for every trace of exactly ``length`` symbols
+    extending ``path``, leftmost symbol first, stepping each prefix once."""
+    world, audit = (path[-1].world_after, path[-1].audit) if path else (INITIAL_WORLD, EMPTY_AUDIT)
+    for symbol, w in weighted:
+        steps = path + (step_model(model, world, audit, symbol, len(path)),)
+        if len(steps) == length:
+            yield steps, weight * w
+        else:
+            yield from _traces(model, weighted, length, steps, weight * w)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +312,6 @@ def instance_hash(d_kinds: Sequence[str], k_max: int) -> str:
     return document_hash({"caps": sorted(set(d_kinds)), "kmax": k_max})
 
 
-def _make_counter_example(model: RuntimeModel, symbols: Sequence[Symbol]) -> CounterExample:
-    outcomes, violation = run_trace(model, symbols)
-    assert violation is not None, "counter-example construction on a clean trace"
-    cls = violation_class(outcomes[violation]) or "biconditional-violation"
-    return CounterExample(
-        symbols=tuple(s.key for s in symbols),
-        violation_index=violation,
-        violation_class=cls,
-        steps=tuple(outcomes),
-    )
-
-
 def replay_counter_example(model: RuntimeModel, ce: CounterExample) -> bool:
     """Self-validating witness: re-step the model and confirm the violation
     reproduces at the reported index."""
@@ -324,88 +320,55 @@ def replay_counter_example(model: RuntimeModel, ce: CounterExample) -> bool:
     return violation == ce.violation_index
 
 
-def method_c(
-    model: RuntimeModel,
-    d_kinds: Sequence[str],
-    k_max: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    max_exhaustive_k: int = DEFAULT_MAX_EXHAUSTIVE_K,
-) -> BmcVerdict:
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def method_c(model: RuntimeModel, d_kinds: Sequence[str], k_max: int) -> BmcVerdict:
     """Enumerate all traces of length 1..k_max in increasing length, DFS
     within each length; the first violation (minimal length, leftmost) stops
     the search. UNSAT verdicts carry the complete raw trace count."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _require_positive("k_max", k_max)
     sigma = alphabet(d_kinds)
     size = len(sigma)
-    total = sum(size**n for n in range(1, k_max + 1))
-    if total > budget:
+    if (
+        k_max > DEFAULT_MAX_EXHAUSTIVE_K
+        or sum(size**n for n in range(1, k_max + 1)) > DEFAULT_BUDGET
+    ):
         raise BoundTooLarge(
-            f"exhaustive enumeration of {total} traces (|alphabet|={size}, "
-            f"k_max={k_max}) exceeds the budget of {budget} states; "
-            f"lower k_max or use the stochastic fallback (not a proof)"
-        )
-    if k_max > max_exhaustive_k:
-        raise BoundTooLarge(
-            f"k_max={k_max} is beyond the exhaustive-mode bound of "
-            f"{max_exhaustive_k} (enumeration budget {budget} states, "
-            f"|alphabet|={size}); use the stochastic fallback (not a proof) "
+            f"k_max={k_max} over |alphabet|={size} is beyond exhaustive mode "
+            f"(k_max <= {DEFAULT_MAX_EXHAUSTIVE_K} within a budget of {DEFAULT_BUDGET} "
+            f"traces); lower k_max, or use the stochastic fallback (not a proof) "
             f"for longer horizons"
         )
-    digest = instance_hash(d_kinds, k_max)
-    n_in = size - 1  # number of declared-kind symbols
-
-    explored = 0
-    enumerated = 0
     if model.memoryless:
         # Symbol-class pruning: one representative per class, weighted by how
         # many concrete symbols the class stands for.
-        classes: list[tuple[Symbol, int]] = []
-        if n_in:
-            classes.append((sigma[0], n_in))
-        classes.append((sigma[-1], 1))
-        for length in range(1, k_max + 1):
-            for combo in itertools.product(classes, repeat=length):
-                symbols = tuple(sym for sym, _ in combo)
-                weight = 1
-                for _, w in combo:
-                    weight *= w
-                enumerated += 1
-                explored += weight
-                if _first_violation(model, symbols) is not None:
-                    return BmcVerdict(
-                        result="sat",
-                        counter_example=_make_counter_example(model, symbols),
-                        k_max=k_max,
-                        alphabet_size=size,
-                        traces_explored=explored,
-                        traces_enumerated=enumerated,
-                        instance_hash=digest,
-                    )
+        n_in = size - 1
+        weighted = ([(sigma[0], n_in)] if n_in else []) + [(sigma[-1], 1)]
     else:
-        for length in range(1, k_max + 1):
-            for symbols in itertools.product(sigma, repeat=length):
-                explored += 1
-                enumerated += 1
-                if _first_violation(model, symbols) is not None:
-                    return BmcVerdict(
-                        result="sat",
-                        counter_example=_make_counter_example(model, symbols),
-                        k_max=k_max,
-                        alphabet_size=size,
-                        traces_explored=explored,
-                        traces_enumerated=enumerated,
-                        instance_hash=digest,
-                    )
+        weighted = [(symbol, 1) for symbol in sigma]
+
+    explored = 0
+    enumerated = 0
+    witness: CounterExample | None = None
+    leaves = (leaf for length in range(1, k_max + 1) for leaf in _traces(model, weighted, length))
+    for steps, weight in leaves:
+        enumerated += 1
+        explored += weight
+        cls = violation_class(steps[-1])
+        if cls is not None:
+            witness = CounterExample(tuple(s.symbol_key for s in steps), len(steps) - 1, cls, steps)
+            break
     return BmcVerdict(
-        result="unsat",
-        counter_example=None,
+        result="unsat" if witness is None else "sat",
+        counter_example=witness,
         k_max=k_max,
         alphabet_size=size,
         traces_explored=explored,
         traces_enumerated=enumerated,
-        instance_hash=digest,
+        instance_hash=instance_hash(d_kinds, k_max),
     )
 
 
@@ -441,14 +404,22 @@ def random_trace_search(
 ) -> StochasticSearchReport:
     """Drive random traces of length 1..k_max through the model. A found
     violation is a genuine counter-example; finding none proves nothing."""
+    _require_positive("k_max", k_max)
+    _require_positive("n_traces", n_traces)
     sigma = alphabet(d_kinds)
     rng = random.Random(seed)
     for i in range(n_traces):
         length = rng.randint(1, k_max)
         symbols = tuple(rng.choice(sigma) for _ in range(length))
-        if _first_violation(model, symbols) is not None:
+        outcomes, violation = run_trace(model, symbols)
+        if violation is not None:
             return StochasticSearchReport(
                 traces_checked=i + 1,
-                counter_example=_make_counter_example(model, symbols),
+                counter_example=CounterExample(
+                    symbols=tuple(s.key for s in symbols),
+                    violation_index=violation,
+                    violation_class=violation_class(outcomes[violation]),
+                    steps=tuple(outcomes),
+                ),
             )
     return StochasticSearchReport(traces_checked=n_traces, counter_example=None)

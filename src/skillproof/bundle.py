@@ -125,12 +125,16 @@ def trust_root_to_json(root: TrustRoot) -> dict[str, Any]:
 
 
 def load_trust_root(path: Path | str) -> TrustRoot:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = tuple(
-        TrustEntry(e["signer_id"], e["public_key"], e["max_level"])
-        for e in doc["entries"]
-    )
-    return TrustRoot(entries)
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+        entries = tuple(
+            TrustEntry(e["signer_id"], e["public_key"], e["max_level"])
+            for e in doc["entries"]
+        )
+        return TrustRoot(entries)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed trust root {path}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +274,7 @@ def _verify_signature(doc: dict[str, Any], trust_root: TrustRoot, reasons: list[
         body = {k: v for k, v in doc.items() if k != "signature"}
         signature = base64.b64decode(doc["signature"], validate=True)
         public.verify(signature, canonicalize(body))
-    except (InvalidSignature, KeyError, TypeError, ValueError) as exc:
-        _ = exc
+    except (InvalidSignature, KeyError, TypeError, ValueError):
         reasons.append("sig-invalid")
 
 

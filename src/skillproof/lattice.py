@@ -212,23 +212,6 @@ def value_to_json(v: AbstractValue) -> dict[str, Any]:
     return {"variant": "opaque", "literal": v.literal}
 
 
-def value_from_json(doc: dict[str, Any]) -> AbstractValue:
-    variant = doc.get("variant")
-    if variant == "bottom":
-        return BOTTOM
-    if variant == "top":
-        return TOP
-    if variant == "host_glob":
-        return HostGlob(doc["pattern"])
-    if variant == "path_prefix":
-        return PathPrefix(doc["prefix"])
-    if variant == "int_interval":
-        return IntInterval(doc["lo"], doc["hi"])
-    if variant == "opaque":
-        return Opaque(doc["literal"])
-    raise MalformedPattern(f"unknown abstract value variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # Effect tuples and effect sets
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -213,6 +214,42 @@ def test_pruned_equals_unpruned_for_small_alphabets():
             assert pruned.traces_explored == raw.traces_explored
             assert pruned.traces_enumerated <= raw.traces_enumerated
             assert pruned.instance_hash == raw.instance_hash
+            # The mutants' wiring ignores the world, so class pruning is sound
+            # for them too and must find the same witness. traces_explored is
+            # not compared: on a SAT verdict the pruned count includes the
+            # witness's whole symbol class (skip-audit-on-admit with 2 kinds
+            # at k_max=1 explores 2 pruned, 1 unpruned).
+            for name, factory in MUTANT_MODELS.items():
+                pruned = method_c(replace(factory(kinds), memoryless=True), kinds, k_max)
+                raw = method_c(factory(kinds), kinds, k_max)
+                assert pruned.result == raw.result, name
+                if raw.result == "sat":
+                    assert (
+                        pruned.counter_example.to_json_dict()
+                        == raw.counter_example.to_json_dict()
+                    ), name
+
+
+def test_each_prefix_stepped_once_per_pass():
+    calls = 0
+
+    def executes(decision, world):
+        nonlocal calls
+        calls += 1
+        return decision == "admit"
+
+    counting = RuntimeModel(
+        name="counting-faithful",
+        memoryless=False,
+        executes=executes,
+        audits=lambda decision, world: True,
+    )
+    verdict = method_c(counting, KINDS2, 4)
+    assert verdict.result == "unsat"
+    # the pass for length n steps each prefix of length <= n once, so all
+    # passes together step at most 2 * (3 + 9 + 27 + 81) times; re-stepping
+    # every trace from the initial world costs sum(n * 3^n) = 426
+    assert calls <= 2 * sum(3**n for n in range(1, 5)) == 240
 
 
 def test_instance_hash_deterministic_and_canonical():

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from skillproof.bundle import (
     mint_ephemeral_key,
     private_key_pem,
@@ -91,6 +93,18 @@ def test_bmc_stochastic_fallback(capsys, fixed_skill: Path):
     assert doc["proof"] is False
 
 
+@pytest.mark.parametrize(
+    ("extra", "message"),
+    [(("--kmax", "0"), "k_max must be at least 1"), (("--traces", "0"), "n_traces must be at least 1")],
+    ids=["kmax-0", "traces-0"],
+)
+def test_bmc_stochastic_bad_bounds_exit_2(capsys, fixed_skill: Path, extra, message):
+    code, doc, _ = run_cli(capsys, "bmc", str(fixed_skill), "--stochastic", *extra)
+    assert code == 2
+    assert doc["error"] == "ValueError"
+    assert doc["message"] == message
+
+
 def test_produce_ephemeral_prints_public_key(capsys, fixed_skill: Path):
     code, doc, err = run_cli(capsys, "produce", str(fixed_skill), "--signer-id", "op")
     assert code == 0
@@ -157,6 +171,21 @@ def test_verify_missing_trust_root_file_exit_2(capsys, tmp_path: Path):
         capsys, "verify", str(skill), "--trust-roots", str(tmp_path / "none.json")
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "roots_doc",
+    [{"nope": 1}, [1, 2], {"entries": [{"signer_id": "op", "max_level": "formal"}]}],
+    ids=["no-entries", "not-an-object", "entry-without-public-key"],
+)
+def test_verify_malformed_trust_root_exit_2(capsys, tmp_path: Path, roots_doc):
+    skill = write_worked_skill(tmp_path / "skill", fixed=True)
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(roots_doc))
+    code, doc, _ = run_cli(capsys, "verify", str(skill), "--trust-roots", str(roots))
+    assert code == 2
+    assert doc["error"] == "ValueError"
+    assert str(roots) in doc["message"]
 
 
 def test_packs_env_var(capsys, fixed_skill: Path, tmp_path: Path, monkeypatch):
