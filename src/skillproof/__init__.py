@@ -63,7 +63,6 @@ from .lattice import (
     EffectSet,
     EffectTuple,
     HostGlob,
-    IntInterval,
     Opaque,
     PathPrefix,
     Provenance,
@@ -81,7 +80,6 @@ from .manifest import (
     declared_kinds,
     parse_capability_token,
     parse_manifest,
-    register_capability_kind,
     token_text,
 )
 from .static_analysis import (
@@ -98,14 +96,14 @@ from .static_analysis import (
 __all__ = [
     "__version__",
     # lattice
-    "AbstractValue", "Bottom", "Top", "HostGlob", "PathPrefix", "IntInterval",
-    "Opaque", "BOTTOM", "TOP", "value_leq", "EffectTuple", "EffectSet",
+    "AbstractValue", "Bottom", "Top", "HostGlob", "PathPrefix", "Opaque",
+    "BOTTOM", "TOP", "value_leq", "EffectTuple", "EffectSet",
     "Provenance", "make_effect_set", "effects_join", "containment_check",
     "ContainmentVerdict",
     # manifest
     "CapabilityToken", "Label", "Manifest", "parse_manifest",
     "parse_capability_token", "token_text", "capability_kinds",
-    "declared_kinds", "register_capability_kind",
+    "declared_kinds",
     # static analysis
     "Script", "RulePack", "StaticReport", "discover_scripts",
     "analyze_script", "spawn_closure", "method_a", "default_rule_packs",

@@ -33,7 +33,14 @@ from .errors import (
     MissingBundleFile,
     MissingManifest,
 )
-from .manifest import Manifest, declared_kinds, level_rank, manifest_to_json_dict, parse_manifest
+from .manifest import (
+    VERIFICATION_LEVELS,
+    Manifest,
+    declared_kinds,
+    level_rank,
+    manifest_to_json_dict,
+    parse_manifest,
+)
 from .static_analysis import RulePack, StaticReport, default_rule_packs, method_a
 
 EVIDENCE_DIR = "evidence"
@@ -107,6 +114,9 @@ class TrustRoot:
         ids = [e.signer_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise ValueError("trust root signer_ids must be unique")
+        for entry in self.entries:
+            if entry.max_level not in VERIFICATION_LEVELS:
+                raise ValueError(f"unknown max_level {entry.max_level!r} for {entry.signer_id!r}")
 
     def lookup(self, signer_id: str) -> TrustEntry | None:
         for entry in self.entries:

@@ -30,15 +30,7 @@ from .bundle import (
 )
 from .canonical import canonicalize
 from .dispatch import method_b
-from .errors import (
-    BoundTooLarge,
-    LayerFailed,
-    MalformedManifest,
-    MissingBundleFile,
-    MissingManifest,
-    PackError,
-    SkillproofError,
-)
+from .errors import LayerFailed, SkillproofError
 from .manifest import declared_kinds, parse_manifest
 from .static_analysis import default_rule_packs, load_rule_packs, method_a
 
@@ -237,22 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"error": "layer-failed", "layer": exc.layer, "verdict": doc})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (
-        MissingManifest,
-        MalformedManifest,
-        PackError,
-        BoundTooLarge,
-        MissingBundleFile,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-        PermissionError,
-        ValueError,
-    ) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SkillproofError as exc:
+    except (SkillproofError, OSError, ValueError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,6 @@ from .errors import MalformedEnvelope, MalformedPattern, RefinementError
 from .lattice import (
     AbstractValue,
     HostGlob,
-    IntInterval,
     Opaque,
     PathPrefix,
     Top,
@@ -52,11 +51,13 @@ class Envelope:
     reasoning: str = ""
 
     def __post_init__(self) -> None:
-        if not is_known_kind(self.op):
+        if not isinstance(self.op, str) or not is_known_kind(self.op):
             raise MalformedEnvelope(f"envelope op {self.op!r} is not in the vocabulary")
-        for key in self.args:
+        for key, value in self.args.items():
             if not isinstance(key, str) or not key:
                 raise MalformedEnvelope("envelope arg keys must be non-empty strings")
+            if not isinstance(value, str):
+                raise MalformedEnvelope(f"envelope arg {key!r} must be a string")
 
 
 def envelope_from_dict(doc: Mapping[str, Any]) -> Envelope:
@@ -133,12 +134,9 @@ def _parse_envelope_arg(raw: str, pattern: AbstractValue) -> AbstractValue | Non
             return HostGlob(raw)
         if isinstance(pattern, PathPrefix):
             return PathPrefix(raw)
-        if isinstance(pattern, IntInterval):
-            value = int(raw)
-            return IntInterval(value, value)
         if isinstance(pattern, Opaque):
             return Opaque(raw)
-    except (MalformedPattern, ValueError):
+    except MalformedPattern:
         return None
     return None
 
@@ -208,8 +206,6 @@ def _witness_value(pattern: AbstractValue | None, domain: str) -> str:
         return "probe." + pattern.suffix if pattern.is_wildcard else pattern.pattern
     if isinstance(pattern, PathPrefix):
         return pattern.prefix + "witness" if pattern.is_dir else pattern.prefix
-    if isinstance(pattern, IntInterval):
-        return str(pattern.lo)
     if isinstance(pattern, Opaque):
         return pattern.literal
     return "witness"

@@ -16,7 +16,7 @@ class MalformedManifest(SkillproofError):
 
 
 class UnknownKind(MalformedManifest):
-    """A capability token names a kind outside the registered vocabulary."""
+    """A capability token names a kind outside the capability vocabulary."""
 
 
 class MalformedPattern(MalformedManifest):

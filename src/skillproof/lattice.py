@@ -2,8 +2,8 @@
 join/ordering, and containment of an effect set in a declared capability set.
 
 Abstract values summarise the arguments of system effects: host patterns for
-network targets, directory prefixes for file paths, integer intervals and
-opaque literals for everything else, with Bottom/Top anchoring the order.
+network targets, directory prefixes for file paths and opaque literals for
+everything else, with Bottom/Top anchoring the order.
 """
 
 from __future__ import annotations
@@ -114,25 +114,13 @@ class PathPrefix:
 
 
 @dataclass(frozen=True)
-class IntInterval:
-    """A closed integer interval [lo, hi]."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise MalformedPattern(f"interval lo {self.lo} exceeds hi {self.hi}")
-
-
-@dataclass(frozen=True)
 class Opaque:
     """An uninterpreted literal, comparable only by equality."""
 
     literal: str
 
 
-AbstractValue = Union[Bottom, Top, HostGlob, PathPrefix, IntInterval, Opaque]
+AbstractValue = Union[Bottom, Top, HostGlob, PathPrefix, Opaque]
 
 BOTTOM = Bottom()
 TOP = Top()
@@ -162,8 +150,6 @@ def value_leq(a: AbstractValue, b: AbstractValue) -> bool:
         if not b.is_dir:
             return False
         return a.prefix.startswith(b.prefix)
-    if isinstance(a, IntInterval) and isinstance(b, IntInterval):
-        return b.lo <= a.lo and a.hi <= b.hi
     # Opaque-vs-Opaque equality was handled by a == b; everything else is
     # a cross-variant pair.
     return False
@@ -173,9 +159,8 @@ _VARIANT_ORDER = {
     "Bottom": 0,
     "HostGlob": 1,
     "PathPrefix": 2,
-    "IntInterval": 3,
-    "Opaque": 4,
-    "Top": 5,
+    "Opaque": 3,
+    "Top": 4,
 }
 
 
@@ -193,8 +178,6 @@ def value_text(v: AbstractValue) -> str:
         return v.pattern
     if isinstance(v, PathPrefix):
         return v.prefix
-    if isinstance(v, IntInterval):
-        return f"{v.lo}..{v.hi}"
     return v.literal
 
 
@@ -207,8 +190,6 @@ def value_to_json(v: AbstractValue) -> dict[str, Any]:
         return {"variant": "host_glob", "pattern": v.pattern}
     if isinstance(v, PathPrefix):
         return {"variant": "path_prefix", "prefix": v.prefix}
-    if isinstance(v, IntInterval):
-        return {"variant": "int_interval", "lo": v.lo, "hi": v.hi}
     return {"variant": "opaque", "literal": v.literal}
 
 

@@ -1,8 +1,9 @@
 """Skill manifests and the capability vocabulary.
 
-The vocabulary is closed but lives in one registry table so a deployment can
-extend it; an extension only yields useful static verdicts once the matching
-rule-pack entries exist, otherwise the scanner's conservative taint applies.
+The vocabulary is closed: one read-only table maps each capability kind to
+its argument domain, and Method B probes exactly these kinds. A new kind is a
+code change, and it yields useful static verdicts only once rule-pack entries
+name it; until then the scanner's conservative taint applies.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import yaml
 
@@ -23,7 +25,7 @@ from .lattice import AbstractValue, HostGlob, Opaque, PathPrefix, Top, value_tex
 # ---------------------------------------------------------------------------
 
 # kind token -> argument domain ("host" | "path" | "opaque")
-_VOCABULARY: dict[str, str] = {
+_VOCABULARY: Mapping[str, str] = MappingProxyType({
     "net.egress": "host",
     "fs.read": "path",
     "fs.write.rev": "path",
@@ -32,15 +34,13 @@ _VOCABULARY: dict[str, str] = {
     "spawn.proc": "opaque",
     "pay": "opaque",
     "mutate.schema": "opaque",
-}
-
-_KIND_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
+})
 
 VERIFICATION_LEVELS = ("unverified", "declared", "tested", "formal")
 
 
 def capability_kinds() -> tuple[str, ...]:
-    """The registered vocabulary, in registration order."""
+    """The vocabulary, in declaration order."""
     return tuple(_VOCABULARY)
 
 
@@ -53,16 +53,6 @@ def arg_domain(kind: str) -> str:
         return _VOCABULARY[kind]
     except KeyError:
         raise UnknownKind(f"unknown capability kind {kind!r}") from None
-
-
-def register_capability_kind(kind: str, domain: str = "opaque") -> None:
-    """Extend the vocabulary for a deployment. The new kind needs a matching
-    rule-pack entry before Method A can see it in scripts."""
-    if not _KIND_RE.match(kind):
-        raise MalformedPattern(f"invalid capability kind syntax {kind!r}")
-    if domain not in ("host", "path", "opaque"):
-        raise MalformedPattern(f"unknown argument domain {domain!r}")
-    _VOCABULARY[kind] = domain
 
 
 def level_rank(level: str) -> int:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ._version import __version__
 from .canonical import document_hash
@@ -264,6 +264,23 @@ class ParsedArg:
 _SCAN_CAP = 2000
 
 
+def _read_hole(text: str, i: int) -> tuple[str, int]:
+    """The expression of an interpolation hole whose body starts at ``i``,
+    and the offset just past its closing brace (one past the text when the
+    hole is unterminated)."""
+    n = len(text)
+    depth, j = 1, i
+    while j < n:
+        if text[j] == "{":
+            depth += 1
+        elif text[j] == "}":
+            depth -= 1
+            if not depth:
+                break
+        j += 1
+    return text[i:j], j + 1
+
+
 def _read_string(text: str, i: int, language: str) -> tuple[Parts, int] | None:
     n = len(text)
     is_format = False
@@ -320,45 +337,14 @@ def _read_string(text: str, i: int, language: str) -> tuple[Parts, int] | None:
             return tuple(parts), i + 1
         elif c == "\n" and not template:
             break  # unterminated single-line string
-        if is_format and c == "{":
-            if text.startswith("{{", i):
-                lit.append("{")
-                i += 2
-                continue
-            flush()
-            depth, j = 1, i + 1
-            expr: list[str] = []
-            while j < n and depth:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                    if not depth:
-                        break
-                expr.append(text[j])
-                j += 1
-            parts.append(("hole", "".join(expr)))
-            i = j + 1
-            continue
-        if is_format and text.startswith("}}", i):
-            lit.append("}")
+        if is_format and text.startswith(("{{", "}}"), i):
+            lit.append(c)
             i += 2
             continue
-        if template and text.startswith("${", i):
+        if (is_format and c == "{") or (template and text.startswith("${", i)):
             flush()
-            depth, j = 1, i + 2
-            expr = []
-            while j < n and depth:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                    if not depth:
-                        break
-                expr.append(text[j])
-                j += 1
-            parts.append(("hole", "".join(expr)))
-            i = j + 1
+            expr, i = _read_hole(text, i + 1 if c == "{" else i + 2)
+            parts.append(("hole", expr))
             continue
         lit.append(c)
         i += 1
@@ -518,21 +504,11 @@ def abstract_path(parts: Parts) -> AbstractValue:
         return TOP
 
 
-def abstract_opaque(parts: Parts) -> AbstractValue:
-    if parts and not any(typ == "hole" for typ, _ in parts):
-        text = "".join(t for _, t in parts)
-        if text:
-            return Opaque(text)
-    return TOP
-
-
-def _literal_command(arg: ParsedArg) -> str | None:
-    if arg.kind not in ("literal", "list"):
+def _literal_text(parts: Parts) -> str | None:
+    """The text of hole-free parts; None when any part is a hole."""
+    if any(typ == "hole" for typ, _ in parts):
         return None
-    if any(typ == "hole" for typ, _ in arg.parts):
-        return None
-    text = "".join(t for _, t in arg.parts)
-    return text or None
+    return "".join(t for _, t in parts)
 
 
 def resolve_spawn_target(command: str, known_scripts: frozenset[str]) -> str | None:
@@ -591,18 +567,7 @@ def _shell_first_token(rest: str, skip_flags: bool = True) -> str | None:
 # Rule packs
 # ---------------------------------------------------------------------------
 
-_EXTRACTORS = (
-    "taint_top",
-    "url_host",
-    "path",
-    "python_open",
-    "spawn",
-    "const_top",
-    "shell_url",
-    "shell_path",
-    "shell_redirect",
-    "shell_spawn",
-)
+DEFAULT_REVERSIBLE_PREFIXES = ("./.cache/", "./tmp/")
 
 
 @dataclass(frozen=True)
@@ -631,7 +596,7 @@ class RulePack:
     language: str
     version: str
     rules: tuple[Rule, ...]
-    reversible_prefixes: tuple[str, ...] = ("./.cache/", "./tmp/")
+    reversible_prefixes: tuple[str, ...] = DEFAULT_REVERSIBLE_PREFIXES
     pack_hash: str = field(init=False, default="")
 
     def __post_init__(self) -> None:
@@ -677,7 +642,7 @@ def rule_pack_from_dict(doc: Mapping[str, Any]) -> RulePack:
             language=doc["language"],
             version=doc["version"],
             rules=rules,
-            reversible_prefixes=tuple(doc.get("reversible_prefixes", ("./.cache/", "./tmp/"))),
+            reversible_prefixes=tuple(doc.get("reversible_prefixes", DEFAULT_REVERSIBLE_PREFIXES)),
         )
     except (KeyError, TypeError) as exc:
         raise PackError(f"malformed rule pack: {exc}") from exc
@@ -790,9 +755,112 @@ def _open_mode(text: str, pos: int, language: str) -> str | None:
     arg = read_call_argument(text, i, language)
     if arg.kind == "absent":
         return "r"
-    if arg.kind == "literal" and not any(t == "hole" for t, _ in arg.parts):
-        return "".join(t for _, t in arg.parts)
+    if arg.kind == "literal":
+        return _literal_text(arg.parts)
     return None
+
+
+@dataclass
+class _Scan:
+    """One script's comment-stripped text and what its rules found so far."""
+
+    text: str
+    language: str
+    pack: RulePack
+    known_scripts: frozenset[str]
+    effects: list[EffectTuple] = field(default_factory=list)
+    taints: list[Provenance] = field(default_factory=list)
+    edges: set[str] = field(default_factory=set)
+
+    def emit(self, kind: str, arg: AbstractValue, prov: Provenance) -> None:
+        self.effects.append(EffectTuple(kind, arg, prov))
+
+    def emit_path(self, rule: Rule, arg: AbstractValue, prov: Provenance) -> None:
+        """Emit under the rule's kind, classifying ``fs.write`` by reversibility."""
+        kind = rule.kind or "fs.read"
+        if kind == "fs.write":
+            kind = _classify_write(arg, rule, self.pack)
+        self.emit(kind, arg, prov)
+
+    def emit_spawn(self, command: str | None, prov: Provenance) -> None:
+        """A literal command that names a sibling script is a spawn edge;
+        a non-literal command, or one naming anything else, taints."""
+        self.emit("spawn.proc", TOP if command is None else Opaque(command), prov)
+        target = None if command is None else resolve_spawn_target(command, self.known_scripts)
+        if target is None:
+            self.taints.append(prov)
+        else:
+            self.edges.add(target)
+
+
+def _taint_top(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    scan.taints.append(prov)
+
+
+def _const_top(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    scan.emit(rule.kind or "tool.invoke", TOP, prov)
+
+
+def _url_host(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    arg = read_call_argument(scan.text, end, scan.language)
+    value = abstract_url(arg.parts) if arg.kind == "literal" else TOP
+    scan.emit(rule.kind or "net.egress", value, prov)
+
+
+def _path(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    arg = read_call_argument(scan.text, end, scan.language)
+    scan.emit_path(rule, abstract_path(arg.parts) if arg.kind == "literal" else TOP, prov)
+
+
+def _python_open(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    arg = read_call_argument(scan.text, end, scan.language)
+    value = abstract_path(arg.parts) if arg.kind == "literal" else TOP
+    mode = _open_mode(scan.text, arg.end, scan.language)
+    wants_write = mode is None or any(c in mode for c in "wax+")
+    # a literal mode that neither reads nor writes is unrecognized: treat as read
+    wants_read = mode is None or "r" in mode or "+" in mode or not wants_write
+    if wants_read:
+        scan.emit("fs.read", value, prov)
+    if wants_write:
+        scan.emit(_classify_write(value, rule, scan.pack), value, prov)
+
+
+def _spawn(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    arg = read_call_argument(scan.text, end, scan.language)
+    command = _literal_text(arg.parts) if arg.kind in ("literal", "list") else None
+    scan.emit_spawn(command or None, prov)
+
+
+def _shell_url(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    url = _SHELL_URL_RE.search(_shell_line_rest(scan.text, end))
+    value = abstract_url(_shell_parts(url.group())) if url else TOP
+    scan.emit(rule.kind or "net.egress", value, prov)
+
+
+def _shell_path(
+    scan: _Scan, rule: Rule, end: int, prov: Provenance, skip_flags: bool = True
+) -> None:
+    token = _shell_first_token(_shell_line_rest(scan.text, end), skip_flags)
+    scan.emit_path(rule, abstract_path(_shell_parts(token)) if token else TOP, prov)
+
+
+def _shell_spawn(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
+    token = _shell_first_token(_shell_line_rest(scan.text, end))
+    scan.emit_spawn(None if token is None else _literal_text(_shell_parts(token)), prov)
+
+
+_EXTRACTORS: dict[str, Callable[[_Scan, Rule, int, Provenance], None]] = {
+    "taint_top": _taint_top,
+    "url_host": _url_host,
+    "path": _path,
+    "python_open": _python_open,
+    "spawn": _spawn,
+    "const_top": _const_top,
+    "shell_url": _shell_url,
+    "shell_path": _shell_path,
+    "shell_redirect": partial(_shell_path, skip_flags=False),
+    "shell_spawn": _shell_spawn,
+}
 
 
 def scan_script(
@@ -814,89 +882,16 @@ def scan_script(
         return ScriptScan(make_effect_set((), True, (origin,)), frozenset())
 
     text = strip_comments(script.source, script.language)
-    effects: list[EffectTuple] = []
-    taints: list[Provenance] = []
-    edges: set[str] = set()
-
-    def emit(kind: str, arg: AbstractValue, prov: Provenance) -> None:
-        effects.append(EffectTuple(kind, arg, prov))
-
+    scan = _Scan(text, script.language, pack, known_scripts)
     for rule in pack.rules:
+        extract = _EXTRACTORS[rule.extract]
         for m in _compile(rule.pattern).finditer(text):
             line = text.count("\n", 0, m.start()) + 1
-            prov = Provenance(script.id, line, rule.rule_id)
-            extract = rule.extract
-            if extract == "taint_top":
-                taints.append(prov)
-            elif extract == "const_top":
-                emit(rule.kind or "tool.invoke", TOP, prov)
-            elif extract == "url_host":
-                arg = read_call_argument(text, m.end(), script.language)
-                value = abstract_url(arg.parts) if arg.kind == "literal" else TOP
-                emit(rule.kind or "net.egress", value, prov)
-            elif extract == "path":
-                arg = read_call_argument(text, m.end(), script.language)
-                value = abstract_path(arg.parts) if arg.kind == "literal" else TOP
-                kind = rule.kind or "fs.read"
-                if kind == "fs.write":
-                    kind = _classify_write(value, rule, pack)
-                emit(kind, value, prov)
-            elif extract == "python_open":
-                arg = read_call_argument(text, m.end(), script.language)
-                value = abstract_path(arg.parts) if arg.kind == "literal" else TOP
-                mode = _open_mode(text, arg.end, script.language)
-                wants_write = mode is None or any(c in mode for c in "wax+")
-                wants_read = mode is None or "r" in (mode or "") or "+" in (mode or "")
-                if not wants_read and not wants_write:
-                    wants_read = True  # unrecognized literal mode: treat as read
-                if wants_read:
-                    emit("fs.read", value, prov)
-                if wants_write:
-                    emit(_classify_write(value, rule, pack), value, prov)
-            elif extract == "spawn":
-                arg = read_call_argument(text, m.end(), script.language)
-                command = _literal_command(arg)
-                if command is None:
-                    emit("spawn.proc", TOP, prov)
-                    taints.append(prov)
-                else:
-                    emit("spawn.proc", Opaque(command), prov)
-                    target = resolve_spawn_target(command, known_scripts)
-                    if target is not None:
-                        edges.add(target)
-                    else:
-                        taints.append(prov)
-            elif extract == "shell_url":
-                rest = _shell_line_rest(text, m.end())
-                url = _SHELL_URL_RE.search(rest)
-                value = abstract_url(_shell_parts(url.group())) if url else TOP
-                emit(rule.kind or "net.egress", value, prov)
-            elif extract in ("shell_path", "shell_redirect"):
-                rest = _shell_line_rest(text, m.end())
-                token = _shell_first_token(rest, skip_flags=extract == "shell_path")
-                value = abstract_path(_shell_parts(token)) if token else TOP
-                kind = rule.kind or "fs.read"
-                if kind == "fs.write":
-                    kind = _classify_write(value, rule, pack)
-                emit(kind, value, prov)
-            elif extract == "shell_spawn":
-                rest = _shell_line_rest(text, m.end())
-                token = _shell_first_token(rest)
-                if token is None or any(t == "hole" for t, _ in _shell_parts(token)):
-                    emit("spawn.proc", TOP, prov)
-                    taints.append(prov)
-                else:
-                    command = "".join(t for _, t in _shell_parts(token))
-                    emit("spawn.proc", Opaque(command), prov)
-                    target = resolve_spawn_target(command, known_scripts)
-                    if target is not None:
-                        edges.add(target)
-                    else:
-                        taints.append(prov)
+            extract(scan, rule, m.end(), Provenance(script.id, line, rule.rule_id))
 
     return ScriptScan(
-        make_effect_set(effects, tainted_top=bool(taints), taint_origins=taints),
-        frozenset(edges),
+        make_effect_set(scan.effects, tainted_top=bool(scan.taints), taint_origins=scan.taints),
+        frozenset(scan.edges),
     )
 
 

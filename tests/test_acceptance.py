@@ -46,7 +46,6 @@ from skillproof.lattice import (
     TOP,
     EffectTuple,
     HostGlob,
-    IntInterval,
     Opaque,
     PathPrefix,
     Provenance,
@@ -329,9 +328,6 @@ def _rand_value(rng: random.Random):
     if roll < 0.75:
         text = "./" + "/".join(rng.choice(_PATH_SEGS) for _ in range(rng.randint(1, 4)))
         return PathPrefix(text + ("/" if rng.random() < 0.5 else ""))
-    if roll < 0.9:
-        lo = rng.randint(-30, 30)
-        return IntInterval(lo, lo + rng.randint(0, 30))
     return Opaque(rng.choice(["x", "y", "cmd a", "probe"]))
 
 
@@ -349,8 +345,6 @@ def _weaken(v, rng: random.Random):
         if len(parts) > 1:
             return PathPrefix("/".join(parts[:-1]) + "/")
         return TOP
-    if isinstance(v, IntInterval):
-        return IntInterval(v.lo - rng.randint(0, 5), v.hi + rng.randint(0, 5))
     if v == BOTTOM:
         return _rand_value(rng)
     return v
@@ -452,8 +446,6 @@ def _strengthen_value(v, rng: random.Random):
         return HostGlob("sub." + v.suffix)
     if isinstance(v, PathPrefix) and v.is_dir and rng.random() < 0.5:
         return PathPrefix(v.prefix + "leaf")
-    if isinstance(v, IntInterval) and v.hi > v.lo and rng.random() < 0.5:
-        return IntInterval(v.lo, v.hi - 1)
     return v
 
 

@@ -128,6 +128,13 @@ def test_produce_kmax_12_exit_2_bound_too_large(capsys, fixed_skill: Path):
     assert "budget" in doc["message"] or "stochastic" in doc["message"]
 
 
+def test_produce_out_dir_blocked_by_file_exit_2(capsys, fixed_skill: Path, tmp_path: Path):
+    (tmp_path / "evidence").write_text("a regular file where the bundle directory goes")
+    code, doc, _ = run_cli(capsys, "produce", str(fixed_skill), "--out", str(tmp_path))
+    assert code == 2
+    assert doc["error"] == "FileExistsError"
+
+
 def test_verify_flow(capsys, tmp_path: Path):
     skill = write_worked_skill(tmp_path / "skill", fixed=True)
     private, public = mint_ephemeral_key()
@@ -175,8 +182,13 @@ def test_verify_missing_trust_root_file_exit_2(capsys, tmp_path: Path):
 
 @pytest.mark.parametrize(
     "roots_doc",
-    [{"nope": 1}, [1, 2], {"entries": [{"signer_id": "op", "max_level": "formal"}]}],
-    ids=["no-entries", "not-an-object", "entry-without-public-key"],
+    [
+        {"nope": 1},
+        [1, 2],
+        {"entries": [{"signer_id": "op", "max_level": "formal"}]},
+        {"entries": [{"signer_id": "op", "public_key": "AAAA", "max_level": "bogus"}]},
+    ],
+    ids=["no-entries", "not-an-object", "entry-without-public-key", "unknown-max-level"],
 )
 def test_verify_malformed_trust_root_exit_2(capsys, tmp_path: Path, roots_doc):
     skill = write_worked_skill(tmp_path / "skill", fixed=True)

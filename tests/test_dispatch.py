@@ -113,6 +113,10 @@ def test_malformed_envelope_rejected_at_construction():
         envelope_from_dict({"args": {}})
     with pytest.raises(MalformedEnvelope):
         Envelope("pay", {"": "x"})
+    with pytest.raises(MalformedEnvelope):
+        envelope_from_dict({"op": "net.egress", "args": {"host": 5}})
+    with pytest.raises(MalformedEnvelope):
+        envelope_from_dict({"op": ["x"]})
 
 
 def test_envelope_from_dict():
