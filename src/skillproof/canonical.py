@@ -15,27 +15,41 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any
 
 from .errors import NonCanonicalizable
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\"}
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
 
 
 def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
+    return text.translate(_ESCAPES)
 
 
 def _write(value: Any, out: list[str]) -> None:
-    if value is None:
+    # Strings, objects and arrays come first: they are most of every document.
+    if isinstance(value, str):
+        out.append(f'"{_escape(value)}"')
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise NonCanonicalizable(f"object key {key!r} is not a string")
+            out.append(f'{"," if i else ""}"{_escape(key)}":')
+            _write(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _write(item, out)
+        out.append("]")
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
@@ -47,29 +61,6 @@ def _write(value: Any, out: list[str]) -> None:
         raise NonCanonicalizable(
             f"float {value!r} is not canonicalizable; encode reals as decimal strings"
         )
-    elif isinstance(value, str):
-        out.append('"')
-        out.append(_escape(value))
-        out.append('"')
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise NonCanonicalizable(f"object key {key!r} is not a string")
-            if i:
-                out.append(",")
-            out.append('"')
-            out.append(_escape(key))
-            out.append('":')
-            _write(value[key], out)
-        out.append("}")
     else:
         raise NonCanonicalizable(f"type {type(value).__name__} is not canonicalizable")
 

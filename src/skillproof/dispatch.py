@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Mapping, Union
 
 from ._version import __version__
@@ -91,7 +92,9 @@ class RefinedDispatcher:
 
     The declared set is deep-copied at construction and immutable afterwards;
     later mutation of the source manifest has no effect. The admit log, when
-    enabled, is append-only with serialized appends.
+    enabled, is append-only with serialized appends, and each entry holds a
+    read-only copy of the admitted arguments, so the caller's later edits to
+    its own ``args`` dict cannot rewrite what was admitted.
     """
 
     __slots__ = ("_declared", "_declared_hash", "_log_admits", "_admit_log", "_lock")
@@ -118,8 +121,9 @@ class RefinedDispatcher:
 
     def _record(self, envelope: Envelope) -> None:
         if self._log_admits:
+            entry = replace(envelope, args=MappingProxyType(dict(envelope.args)))
             with self._lock:
-                self._admit_log.append(envelope)
+                self._admit_log.append(entry)
 
 
 def build_refined_dispatch(manifest: Manifest, log_admits: bool = False) -> RefinedDispatcher:

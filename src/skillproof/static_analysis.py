@@ -11,12 +11,21 @@ them), so constructs inside strings still count toward the effect set.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
+
+try:
+    from re import _parser as _sre_parse  # Python 3.11+
+except ImportError:  # pragma: no cover - Python 3.10
+    try:
+        import sre_parse as _sre_parse
+    except ImportError:
+        _sre_parse = None
 
 from ._version import __version__
 from .canonical import document_hash
@@ -91,146 +100,142 @@ def discover_scripts(skill_dir: Path | str) -> list[Script]:
 # ---------------------------------------------------------------------------
 
 
+# Each stripper jumps with a compiled search to the next character that can
+# open a comment or a string, and copies the text in between unchanged.
+_PY_NEXT = re.compile(r"[#'\"]")
+_SH_NEXT = re.compile(r"[\\'\"#]")
+_ND_NEXT = re.compile(r"['\"`/]")
+# Inside a string: the next escape or closing quote, and for a single-line
+# string also the next newline.
+_LINE_STRING_STOP = {q: re.compile(rf"[\\\n{q}]") for q in "'\""}
+_LONG_STRING_STOP = {q: re.compile(rf"[\\{q}]") for q in "'\"`"}
+_REGEX_LITERAL_STOP = re.compile(r"[\\\[\]/\n]")
+
+
+def _skip_string(source: str, i: int, stop: re.Pattern[str], close: str) -> int:
+    """The end of a string body that starts at ``i``: just past ``close``,
+    at the newline that ends an unterminated single-line string, or at or
+    past the end of the text."""
+    while (m := stop.search(source, i)) is not None:
+        j = m.start()
+        c = source[j]
+        if c == "\\":
+            i = j + 2
+        elif c == "\n":
+            return j
+        elif source.startswith(close, j):
+            return j + len(close)
+        else:
+            i = j + 1
+    return len(source)
+
+
+def _line_end(source: str, i: int) -> int:
+    end = source.find("\n", i)
+    return len(source) if end == -1 else end
+
+
 def _strip_python(source: str) -> str:
-    out = list(source)
-    i, n = 0, len(source)
-    while i < n:
+    out: list[str] = []
+    last = i = 0
+    while (m := _PY_NEXT.search(source, i)) is not None:
+        i = m.start()
         c = source[i]
         if c == "#":
-            while i < n and source[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif c in "'\"":
-            quote = c
-            if source.startswith(quote * 3, i):
-                i += 3
-                while i < n:
-                    if source[i] == "\\":
-                        i += 2
-                        continue
-                    if source.startswith(quote * 3, i):
-                        i += 3
-                        break
-                    i += 1
-            else:
-                i += 1
-                while i < n and source[i] != "\n":
-                    if source[i] == "\\":
-                        i += 2
-                        continue
-                    if source[i] == quote:
-                        i += 1
-                        break
-                    i += 1
+            end = _line_end(source, i)
+            out += (source[last:i], " " * (end - i))
+            last = i = end
+        elif source.startswith(c * 3, i):
+            i = _skip_string(source, i + 3, _LONG_STRING_STOP[c], c * 3)
         else:
-            i += 1
+            i = _skip_string(source, i + 1, _LINE_STRING_STOP[c], c)
+    out.append(source[last:])
     return "".join(out)
 
 
 def _strip_shell(source: str) -> str:
-    out = list(source)
-    i, n = 0, len(source)
-    while i < n:
+    out: list[str] = []
+    last = i = 0
+    while (m := _SH_NEXT.search(source, i)) is not None:
+        i = m.start()
         c = source[i]
         if c == "\\":
             i += 2
         elif c == "'":
-            i += 1
-            while i < n and source[i] != "'":
-                i += 1
-            i += 1
+            end = source.find("'", i + 1)
+            i = len(source) if end == -1 else end + 1
         elif c == '"':
-            i += 1
-            while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    i += 2
-                    continue
-                i += 1
-            i += 1
-        elif c == "#" and (i == 0 or source[i - 1] in " \t\n;|&("):
-            while i < n and source[i] != "\n":
-                out[i] = " "
-                i += 1
+            i = _skip_string(source, i + 1, _LONG_STRING_STOP['"'], '"')
+        elif i == 0 or source[i - 1] in " \t\n;|&(":
+            end = _line_end(source, i)
+            out += (source[last:i], " " * (end - i))
+            last = i = end
         else:
             i += 1
+    out.append(source[last:])
     return "".join(out)
 
 
 _NODE_REGEX_PREFIX = set("=([{,;:!&|?+-*%~^<>")
 
 
+def _skip_regex_literal(source: str, i: int) -> int:
+    """The end of a regex literal whose body starts at ``i``: just past its
+    closing ``/``, at the newline that ends it unterminated, or at or past
+    the end of the text."""
+    in_class = False
+    while (m := _REGEX_LITERAL_STOP.search(source, i)) is not None:
+        j = m.start()
+        c = source[j]
+        if c == "\\":
+            i = j + 2
+            continue
+        if c == "\n":
+            return j
+        if c == "[":
+            in_class = True
+        elif c == "]":
+            in_class = False
+        elif not in_class:
+            return j + 1
+        i = j + 1
+    return len(source)
+
+
 def _strip_node(source: str) -> str:
-    out = list(source)
-    i, n = 0, len(source)
+    out: list[str] = []
+    last = i = 0
     prev_sig = ""  # last significant char, for the division/regex heuristic
-    while i < n:
+    plain = 0  # start of the plain text since the last string, comment or slash
+    while (m := _ND_NEXT.search(source, i)) is not None:
+        i = m.start()
         c = source[i]
-        if c in "'\"":
+        if c != "/":
             prev_sig = c
-            i += 1
-            while i < n and source[i] != "\n":
-                if source[i] == "\\":
-                    i += 2
-                    continue
-                if source[i] == c:
-                    i += 1
-                    break
-                i += 1
-        elif c == "`":
-            prev_sig = c
-            i += 1
-            while i < n:
-                if source[i] == "\\":
-                    i += 2
-                    continue
-                if source[i] == "`":
-                    i += 1
-                    break
-                i += 1
-        elif c == "/":
-            nxt = source[i + 1] if i + 1 < n else ""
-            if nxt == "/":
-                while i < n and source[i] != "\n":
-                    out[i] = " "
-                    i += 1
-            elif nxt == "*":
-                out[i] = " "
-                out[i + 1] = " "
-                i += 2
-                while i < n:
-                    if source.startswith("*/", i):
-                        out[i] = " "
-                        out[i + 1] = " "
-                        i += 2
-                        break
-                    if source[i] != "\n":
-                        out[i] = " "
-                    i += 1
-            elif prev_sig in _NODE_REGEX_PREFIX or prev_sig == "":
-                # regex literal: keep its text, just skip past it
-                i += 1
-                in_class = False
-                while i < n and source[i] != "\n":
-                    ch = source[i]
-                    if ch == "\\":
-                        i += 2
-                        continue
-                    if ch == "[":
-                        in_class = True
-                    elif ch == "]":
-                        in_class = False
-                    elif ch == "/" and not in_class:
-                        i += 1
-                        break
-                    i += 1
-                prev_sig = "/"
-            else:
-                prev_sig = "/"
-                i += 1
+            stop = _LONG_STRING_STOP[c] if c == "`" else _LINE_STRING_STOP[c]
+            i = plain = _skip_string(source, i + 1, stop, c)
+            continue
+        prev_sig = source[plain:i].rstrip()[-1:] or prev_sig
+        nxt = source[i + 1 : i + 2]
+        if nxt == "/":
+            end = _line_end(source, i)
+            out += (source[last:i], " " * (end - i))
+            last = i = end
+        elif nxt == "*":
+            close = source.find("*/", i + 2)
+            end = len(source) if close == -1 else close + 2
+            blanked = "\n".join(" " * len(line) for line in source[i:end].split("\n"))
+            out += (source[last:i], blanked)
+            last = i = end
+        elif not prev_sig or prev_sig in _NODE_REGEX_PREFIX:
+            # regex literal: keep its text, just skip past it
+            i = _skip_regex_literal(source, i + 1)
+            prev_sig = "/"
         else:
-            if not c.isspace():
-                prev_sig = c
             i += 1
+            prev_sig = "/"
+        plain = i
+    out.append(source[last:])
     return "".join(out)
 
 
@@ -626,23 +631,41 @@ class RulePack:
         }
 
 
+def _rule_from_dict(r: Mapping[str, Any]) -> Rule:
+    for key in ("rule_id", "pattern", "extract"):
+        if not isinstance(r[key], str):
+            raise PackError(f"malformed rule pack: {key} {r[key]!r} is not a string")
+    # bool("false") is True, and a reversible rule makes every write it finds reversible
+    reversible = r.get("reversible", False)
+    if not isinstance(reversible, bool):
+        raise PackError(f"malformed rule pack: reversible {reversible!r} is not a boolean")
+    return Rule(
+        rule_id=r["rule_id"],
+        pattern=r["pattern"],
+        extract=r["extract"],
+        kind=r.get("kind"),
+        reversible=reversible,
+    )
+
+
 def rule_pack_from_dict(doc: Mapping[str, Any]) -> RulePack:
     try:
-        rules = tuple(
-            Rule(
-                rule_id=r["rule_id"],
-                pattern=r["pattern"],
-                extract=r["extract"],
-                kind=r.get("kind"),
-                reversible=bool(r.get("reversible", False)),
+        rules = tuple(_rule_from_dict(r) for r in doc["rules"])
+        prefixes = doc.get("reversible_prefixes", list(DEFAULT_REVERSIBLE_PREFIXES))
+        # a bare string would split into one-character prefixes, and "."
+        # would make every relative write reversible
+        if not isinstance(prefixes, list) or not all(
+            isinstance(p, str) and p for p in prefixes
+        ):
+            raise PackError(
+                f"malformed rule pack: reversible_prefixes {prefixes!r} "
+                "is not a list of non-empty strings"
             )
-            for r in doc["rules"]
-        )
         return RulePack(
             language=doc["language"],
             version=doc["version"],
             rules=rules,
-            reversible_prefixes=tuple(doc.get("reversible_prefixes", DEFAULT_REVERSIBLE_PREFIXES)),
+            reversible_prefixes=tuple(prefixes),
         )
     except (KeyError, TypeError) as exc:
         raise PackError(f"malformed rule pack: {exc}") from exc
@@ -667,7 +690,9 @@ def load_rule_packs(directory: Path | str) -> tuple[RulePack, ...]:
     return packs
 
 
+@cache
 def default_rule_packs() -> tuple[RulePack, ...]:
+    """The built-in packs, built once: packs are frozen."""
     python = RulePack(
         language="python",
         version="1",
@@ -718,6 +743,91 @@ def _compile(pattern: str) -> re.Pattern[str]:
     return re.compile(pattern, re.MULTILINE)
 
 
+# Every default pattern starts with ``\b`` or a lookbehind, so ``re`` finds
+# no literal prefix and tries a match at every position of the text. Where
+# every match must begin with one of a few literal strings (the anchors), a
+# search for the next anchor skips the positions where no match can start.
+
+
+def _literal_starts(nodes: Any) -> frozenset[str] | None:
+    """The literal strings one of which every match of the parsed pattern
+    ``nodes`` begins with; None when its shape gives no such set."""
+    p = _sre_parse
+    nodes = list(nodes)
+    k = 0
+    while k < len(nodes) and nodes[k][0] in (p.AT, p.ASSERT, p.ASSERT_NOT):
+        k += 1  # zero-width: the match still starts at the next node
+    if k == len(nodes):
+        return None
+    op, av = nodes[k]
+    if op is p.LITERAL:
+        run = []
+        for node_op, code in nodes[k:]:
+            if node_op is not p.LITERAL:
+                break
+            run.append(chr(code))
+        return frozenset(("".join(run),))
+    if op is p.BRANCH:
+        alternatives = av[1]
+    elif op is p.IN:  # the parser's form of a branch of single characters
+        alternatives = [[item] for item in av]
+    elif op is p.SUBPATTERN and not av[1] & re.IGNORECASE:
+        alternatives = [av[-1]]
+    elif op in (p.MAX_REPEAT, p.MIN_REPEAT) and av[0] >= 1:
+        alternatives = [av[2]]
+    else:
+        return None
+    starts: set[str] = set()
+    for alternative in alternatives:
+        found = _literal_starts(alternative)
+        if found is None:
+            return None
+        starts |= found
+    return frozenset(starts)
+
+
+@lru_cache(maxsize=256)
+def _anchors(pattern: str) -> tuple[str, ...] | None:
+    """The anchors of ``pattern``, or None when it has none."""
+    if _sre_parse is None:
+        return None
+    parsed = _sre_parse.parse(pattern, re.MULTILINE)
+    if parsed.state.flags & re.IGNORECASE:
+        return None
+    starts = _literal_starts(parsed)
+    return None if starts is None else tuple(sorted(starts))
+
+
+def _occurrences(text: str, literal: str) -> Iterator[int]:
+    """Every offset where ``literal`` occurs in ``text``, overlaps included."""
+    p = text.find(literal)
+    while p != -1:
+        yield p
+        p = text.find(literal, p + 1)
+
+
+def _matches(pattern: str, text: str) -> Iterator[re.Match[str]]:
+    """The matches of ``_compile(pattern).finditer(text)``: leftmost and
+    non-overlapping. ``match`` at an offset still sees the text before it,
+    so ``\\b``, ``^`` and lookbehinds decide there as they do in ``finditer``."""
+    compiled = _compile(pattern)
+    anchors = _anchors(pattern)
+    if anchors is None:
+        yield from compiled.finditer(text)
+        return
+    match = compiled.match
+    pos = 0
+    for p in heapq.merge(*(_occurrences(text, a) for a in anchors)):
+        if p < pos:
+            continue  # inside the last match, or a second anchor at a tried offset
+        m = match(text, p)
+        if m is None:
+            pos = p + 1
+        else:
+            yield m
+            pos = m.end()  # past the anchor, so never an empty match
+
+
 # ---------------------------------------------------------------------------
 # Scanning
 # ---------------------------------------------------------------------------
@@ -742,6 +852,9 @@ def _classify_write(arg: AbstractValue, rule: Rule, pack: RulePack) -> str:
     return "fs.write.irrev"
 
 
+_MODE_KEYWORD_RE = re.compile(r"mode\s*=\s*")
+
+
 def _open_mode(text: str, pos: int, language: str) -> str | None:
     """Mode of an ``open`` call whose first argument ended at ``pos``;
     None means unknown (non-literal)."""
@@ -749,7 +862,7 @@ def _open_mode(text: str, pos: int, language: str) -> str | None:
     if i >= len(text) or text[i] != ",":
         return "r"
     i = _skip_ws(text, i + 1)
-    kw = re.compile(r"mode\s*=\s*").match(text, i)
+    kw = _MODE_KEYWORD_RE.match(text, i)
     if kw:
         i = kw.end()
     arg = read_call_argument(text, i, language)
@@ -885,8 +998,10 @@ def scan_script(
     scan = _Scan(text, script.language, pack, known_scripts)
     for rule in pack.rules:
         extract = _EXTRACTORS[rule.extract]
-        for m in _compile(rule.pattern).finditer(text):
-            line = text.count("\n", 0, m.start()) + 1
+        line, counted = 1, 0  # newlines are counted once, up to each match in turn
+        for m in _matches(rule.pattern, text):
+            line += text.count("\n", counted, m.start())
+            counted = m.start()
             extract(scan, rule, m.end(), Provenance(script.id, line, rule.rule_id))
 
     return ScriptScan(

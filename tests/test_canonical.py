@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillproof.canonical import canonical_loads, canonicalize, document_hash
+from skillproof.canonical import _escape, canonical_loads, canonicalize, document_hash
 from skillproof.errors import NonCanonicalizable
 
 
@@ -96,6 +96,31 @@ def test_agrees_with_stdlib_on_tame_documents(doc):
     if tame(doc):
         independent = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         assert canonicalize(doc) == independent.encode("utf-8")
+
+
+def _escape_char_by_char(text: str) -> str:
+    """The encoder's original escaper, kept as the reference."""
+    out = []
+    for ch in text:
+        if ch in ('"', "\\"):
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(st.characters(max_codepoint=0x7F)) | st.text())
+def test_escape_agrees_with_char_by_char_reference(text):
+    assert _escape(text) == _escape_char_by_char(text)
+
+
+def test_escape_every_control_character():
+    text = "".join(chr(c) for c in range(0x80)) + "\ud800é\U0001f600"
+    assert _escape(text) == _escape_char_by_char(text)
+    assert _escape("plain text") == "plain text"
 
 
 def test_canonical_loads_rejects_float_literals():

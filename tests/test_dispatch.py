@@ -198,6 +198,16 @@ def test_admit_log_records_only_admits(worked_skill: Path):
     assert [e.op for e in d.admit_log] == ["net.egress"]
 
 
+def test_admit_log_keeps_the_admitted_args(worked_skill: Path):
+    d = build_refined_dispatch(parse_manifest(worked_skill), log_admits=True)
+    args = {"host": "a.example.com"}
+    assert isinstance(dispatch(d, Envelope("net.egress", args)), Admit)
+    args["host"] = "evil.org"
+    assert d.admit_log[0].args["host"] == "a.example.com"
+    with pytest.raises(TypeError):
+        d.admit_log[0].args["host"] = "evil.org"
+
+
 def test_raise_for_rejection(worked_dispatcher):
     admit = dispatch(worked_dispatcher, Envelope("net.egress", {"host": "a.example.com"}))
     assert raise_for_rejection(admit) is admit

@@ -562,6 +562,39 @@ def test_bad_pattern_rejected():
         rule_pack_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reversible_prefixes", "./tmp/"),
+        ("reversible_prefixes", ["./tmp/", ""]),
+        ("reversible_prefixes", ["./tmp/", 3]),
+        ("rule_id", 5),
+        ("pattern", 5),
+        ("extract", None),
+        ("reversible", "false"),
+    ],
+)
+def test_malformed_pack_field_rejected(field: str, value: object):
+    doc = SH_PACK.to_dict()
+    if field == "reversible_prefixes":
+        doc[field] = value
+    else:
+        doc["rules"][0][field] = value
+    with pytest.raises(PackError):
+        rule_pack_from_dict(doc)
+
+
+def test_pack_prefixes_leave_other_writes_irreversible():
+    doc = SH_PACK.to_dict()
+    doc["reversible_prefixes"] = ["./tmp/"]
+    script = Script("s.sh", "shell", "rm -rf ./secrets/db\nrm -rf ./tmp/x\n")
+    es = analyze_script(script, rule_pack_from_dict(doc))
+    assert {(t.kind, value_text(t.arg)) for t in es.effects} == {
+        ("fs.write.irrev", "./secrets/db"),
+        ("fs.write.rev", "./tmp/x"),
+    }
+
+
 def test_pack_language_mismatch_rejected():
     with pytest.raises(PackError):
         analyze_script(py_script("x=1\n"), SH_PACK)
