@@ -27,6 +27,7 @@ from .bmc import BmcVerdict, faithful_runtime, instance_hash, method_c
 from .canonical import canonicalize, hash_bytes
 from .dispatch import TypedDispatchVerdict, method_b
 from .errors import (
+    BoundTooLarge,
     EntropyUnavailable,
     LayerFailed,
     MalformedManifest,
@@ -37,11 +38,10 @@ from .manifest import (
     VERIFICATION_LEVELS,
     Manifest,
     declared_kinds,
-    level_rank,
     manifest_to_json_dict,
     parse_manifest,
 )
-from .static_analysis import RulePack, StaticReport, default_rule_packs, method_a
+from .static_analysis import RulePack, StaticReport, method_a
 
 EVIDENCE_DIR = "evidence"
 
@@ -184,6 +184,37 @@ def sign_attestation(body: dict[str, Any], key: ed25519.Ed25519PrivateKey) -> di
 # ---------------------------------------------------------------------------
 
 
+# (evidence slot, layer name in LayerFailed, verify's reason when the live
+# re-run of the layer fails or does not reproduce the slot's bytes)
+_LAYERS = (
+    ("static", "methodA", "method-A-cache-miss"),
+    ("types", "methodB", "method-B-fail"),
+    ("smt", "methodC", "method-C-fail"),
+)
+
+
+def _run_layer(
+    slot: str,
+    skill_dir: Path | str,
+    manifest: Manifest,
+    packs: Iterable[RulePack] | None,
+    k_max: int,
+) -> tuple[Any, Any]:
+    """Run the layer behind ``slot`` on the live skill. Returns the verdict,
+    whose canonical JSON is the slot's evidence, and the failure (the
+    containment verdict for methodA, else the verdict itself) or None when
+    the layer passes: contained, pass and unsat respectively."""
+    if slot == "static":
+        report = method_a(skill_dir, manifest, packs)
+        return report, None if report.verdict.contained else report.verdict
+    if slot == "types":
+        verdict = method_b(manifest)
+        return verdict, None if verdict.passed else verdict
+    kinds = declared_kinds(manifest)
+    verdict = method_c(faithful_runtime(kinds), kinds, k_max)
+    return verdict, None if verdict.result == "unsat" else verdict
+
+
 @dataclass(frozen=True)
 class ProducedBundle:
     evidence_dir: Path
@@ -206,38 +237,22 @@ def produce_formal_bundle(
     """Run all three methods and, only if every layer passes, write the
     four canonical evidence files. Same inputs and key produce byte-identical
     bundles."""
-    packs = tuple(packs) if packs is not None else default_rule_packs()
+    verdicts: dict[str, Any] = {}
+    for slot, layer, _ in _LAYERS:
+        verdict, failure = _run_layer(slot, skill_dir, manifest, packs, k_max)
+        if failure is not None:
+            raise LayerFailed(layer, failure)
+        verdicts[slot] = verdict
 
-    static_report = method_a(skill_dir, manifest, packs)
-    if not static_report.verdict.contained:
-        raise LayerFailed("methodA", static_report.verdict)
-    dispatch_verdict = method_b(manifest)
-    if not dispatch_verdict.passed:
-        raise LayerFailed("methodB", dispatch_verdict)
-    bmc_verdict = method_c(faithful_runtime(declared_kinds(manifest)), declared_kinds(manifest), k_max)
-    if bmc_verdict.result != "unsat":
-        raise LayerFailed("methodC", bmc_verdict)
-
-    static_bytes = canonicalize(static_report.to_json_dict())
-    types_bytes = canonicalize(dispatch_verdict.to_json_dict())
-    smt_bytes = canonicalize(bmc_verdict.to_json_dict())
-    evidence_hashes = {
-        "static": hash_bytes(static_bytes),
-        "types": hash_bytes(types_bytes),
-        "smt": hash_bytes(smt_bytes),
-    }
+    contents = {slot: canonicalize(v.to_json_dict()) for slot, v in verdicts.items()}
+    evidence_hashes = {slot: hash_bytes(data) for slot, data in contents.items()}
     body = attestation_body(manifest_hash(manifest), evidence_hashes, signer_id)
     attest_bytes = canonicalize(sign_attestation(body, key))
+    contents["attest"] = attest_bytes
 
     target = Path(out_dir) if out_dir is not None else Path(skill_dir)
     evidence = target / EVIDENCE_DIR
     evidence.mkdir(parents=True, exist_ok=True)
-    contents = {
-        "static": static_bytes,
-        "types": types_bytes,
-        "smt": smt_bytes,
-        "attest": attest_bytes,
-    }
     files: dict[str, Path] = {}
     for slot, data in contents.items():
         path = evidence / SLOT_FILES[slot]
@@ -247,9 +262,9 @@ def produce_formal_bundle(
         evidence_dir=evidence,
         files=files,
         attestation_hash=hash_bytes(attest_bytes),
-        static_report=static_report,
-        dispatch_verdict=dispatch_verdict,
-        bmc_verdict=bmc_verdict,
+        static_report=verdicts["static"],
+        dispatch_verdict=verdicts["types"],
+        bmc_verdict=verdicts["smt"],
     )
 
 
@@ -274,7 +289,7 @@ def _verify_signature(doc: dict[str, Any], trust_root: TrustRoot, reasons: list[
         reasons.append("signer-not-authorised")
         return
     entry = trust_root.lookup(signer_id)
-    if entry is None or level_rank(entry.max_level) < level_rank("formal"):
+    if entry is None or entry.max_level != "formal":
         reasons.append("signer-not-authorised")
         return
     try:
@@ -297,7 +312,6 @@ def verify_formal_bundle(
     and all applicable reasons accumulate; the accepted level is formal only
     when every step reproduces, otherwise declared."""
     skill_dir = Path(skill_dir)
-    packs = tuple(packs) if packs is not None else default_rule_packs()
     raw: dict[str, bytes] = {}
     for slot in SLOT_FILES:
         path = evidence_path(skill_dir, slot)
@@ -329,55 +343,36 @@ def verify_formal_bundle(
         if attest_doc.get("manifest_hash") != manifest_hash(manifest):
             reasons.append("hash-mismatch:manifest")
 
+    # Steps 3-5, one per layer: tamper (the file's bytes against the signed
+    # hash) beats drift (the live re-run against the file's bytes).
     attested_hashes = (attest_doc or {}).get("evidence_hashes")
-    if not isinstance(attested_hashes, dict):
-        attested_hashes = None
-
-    # Step 3: static evidence. Tamper beats drift per slot.
-    if attested_hashes is not None:
-        if hash_bytes(raw["static"]) != attested_hashes.get("static"):
-            reasons.append("hash-mismatch:static")
-        elif manifest is not None:
-            live = canonicalize(method_a(skill_dir, manifest, packs).to_json_dict())
-            if live != raw["static"]:
-                reasons.append("method-A-cache-miss")
-
-    # Step 4: dispatch evidence.
-    if attested_hashes is not None:
-        if hash_bytes(raw["types"]) != attested_hashes.get("types"):
-            reasons.append("hash-mismatch:types")
-        elif manifest is not None:
-            verdict = method_b(manifest)
-            if not verdict.passed or canonicalize(verdict.to_json_dict()) != raw["types"]:
-                reasons.append("method-B-fail")
-
-    # Step 5: trace-bound evidence, re-run at the recorded k_max.
-    if attested_hashes is not None:
-        if hash_bytes(raw["smt"]) != attested_hashes.get("smt"):
-            reasons.append("hash-mismatch:smt")
-        elif manifest is not None:
+    for slot, _, failed in _LAYERS if isinstance(attested_hashes, dict) else ():
+        if hash_bytes(raw[slot]) != attested_hashes.get(slot):
+            reasons.append(f"hash-mismatch:{slot}")
+            continue
+        if manifest is None:
+            continue
+        k_max = 0
+        if slot == "smt":
+            # the trace layer re-runs at the bound the evidence records
             try:
                 smt_doc = json.loads(raw["smt"].decode("utf-8"))
-                k_recorded = smt_doc["k_max"]
+                k_max = smt_doc["k_max"]
                 recorded_instance = smt_doc["instance_hash"]
-                if not isinstance(k_recorded, int) or k_recorded < 1:
+                if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < 1:
                     raise ValueError("k_max shape")
             except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                reasons.append("method-C-fail")
-            else:
-                kinds = declared_kinds(manifest)
-                if instance_hash(kinds, k_recorded) != recorded_instance:
-                    reasons.append("bound-mismatch")
-                try:
-                    live_verdict = method_c(faithful_runtime(kinds), kinds, k_recorded)
-                except Exception:
-                    reasons.append("method-C-fail")
-                else:
-                    if (
-                        live_verdict.result != "unsat"
-                        or canonicalize(live_verdict.to_json_dict()) != raw["smt"]
-                    ):
-                        reasons.append("method-C-fail")
+                reasons.append(failed)
+                continue
+            if instance_hash(declared_kinds(manifest), k_max) != recorded_instance:
+                reasons.append("bound-mismatch")
+        try:
+            verdict, failure = _run_layer(slot, skill_dir, manifest, packs, k_max)
+        except (BoundTooLarge, ValueError):
+            reasons.append(failed)
+            continue
+        if failure is not None or canonicalize(verdict.to_json_dict()) != raw[slot]:
+            reasons.append(failed)
 
     deduped = tuple(dict.fromkeys(reasons))
     return VerifyOutcome(

@@ -224,9 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LayerFailed as exc:
-        verdict = exc.verdict
-        doc = verdict.to_json_dict() if hasattr(verdict, "to_json_dict") else None
-        _emit({"error": "layer-failed", "layer": exc.layer, "verdict": doc})
+        _emit({"error": "layer-failed", "layer": exc.layer, "verdict": exc.verdict.to_json_dict()})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (SkillproofError, OSError, ValueError) as exc:

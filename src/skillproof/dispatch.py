@@ -17,14 +17,7 @@ from typing import Any, Mapping, Union
 from ._version import __version__
 from .canonical import document_hash
 from .errors import MalformedEnvelope, MalformedPattern, RefinementError
-from .lattice import (
-    AbstractValue,
-    HostGlob,
-    Opaque,
-    PathPrefix,
-    Top,
-    value_leq,
-)
+from .lattice import AbstractValue, HostGlob, Opaque, PathPrefix, Top, covering_token
 from .manifest import (
     CapabilityToken,
     Manifest,
@@ -32,6 +25,7 @@ from .manifest import (
     capability_kinds,
     declared_kinds,
     is_known_kind,
+    kind_value,
     token_text,
 )
 
@@ -131,41 +125,23 @@ def build_refined_dispatch(manifest: Manifest, log_admits: bool = False) -> Refi
     return RefinedDispatcher(tuple(manifest.caps), log_admits=log_admits)
 
 
-def _parse_envelope_arg(raw: str, pattern: AbstractValue) -> AbstractValue | None:
-    """Lift a concrete envelope argument into the pattern's variant."""
-    try:
-        if isinstance(pattern, HostGlob):
-            return HostGlob(raw)
-        if isinstance(pattern, PathPrefix):
-            return PathPrefix(raw)
-        if isinstance(pattern, Opaque):
-            return Opaque(raw)
-    except MalformedPattern:
-        return None
-    return None
-
-
 def dispatch(dispatcher: RefinedDispatcher, envelope: Envelope) -> DispatchResult:
-    """Admit iff some declared token covers the envelope's op, and, when the
-    token carries an argument pattern, the envelope's matching arg satisfies
-    it. Pure in (declared set, envelope): no randomness, no clock, no IO."""
+    """Admit iff some declared token of the envelope's op covers its argument,
+    lifted into the op's domain; an absent or malformed argument is covered
+    only by a token without a pattern. Pure in (declared set, envelope): no
+    randomness, no clock, no IO."""
     if not is_known_kind(envelope.op):
         raise MalformedEnvelope(f"envelope op {envelope.op!r} is not in the vocabulary")
-    for token in dispatcher.declared:
-        if token.kind != envelope.op:
-            continue
-        pattern = token.arg_pattern
-        if pattern is None or isinstance(pattern, Top):
-            dispatcher._record(envelope)
-            return Admit(envelope.op, token_text(token))
-        raw = envelope.args.get(envelope_arg_key(token.kind))
-        if raw is None:
-            continue
-        value = _parse_envelope_arg(raw, pattern)
-        if value is not None and value_leq(value, pattern):
-            dispatcher._record(envelope)
-            return Admit(envelope.op, token_text(token))
-    return RefinementRejection(envelope.op, dispatcher.declared_hash)
+    raw = envelope.args.get(envelope_arg_key(envelope.op))
+    try:
+        value = None if raw is None else kind_value(envelope.op, raw)
+    except MalformedPattern:
+        value = None
+    token = covering_token(dispatcher.declared, envelope.op, value)
+    if token is None:
+        return RefinementRejection(envelope.op, dispatcher.declared_hash)
+    dispatcher._record(envelope)
+    return Admit(envelope.op, token_text(token))
 
 
 def raise_for_rejection(result: DispatchResult) -> Admit:

@@ -230,10 +230,6 @@ class EffectSet:
     tainted_top: bool = False
     taint_origins: tuple[Provenance, ...] = ()
 
-    def semantic_key(self) -> tuple[frozenset, bool]:
-        """Lattice identity: the (kind, arg) pairs plus the taint flag."""
-        return (frozenset((t.kind, t.arg) for t in self.effects), self.tainted_top)
-
 
 def make_effect_set(
     effects: Iterable[EffectTuple],
@@ -288,17 +284,32 @@ class ContainmentVerdict:
     contained: bool
     violations: tuple[Violation, ...] = ()
 
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "contained": self.contained,
+            "violations": [violation_to_json(x) for x in self.violations],
+        }
 
-def _covered(t: EffectTuple, declared: Iterable["CapabilityToken"]) -> bool:
+
+def covering_token(
+    declared: Iterable["CapabilityToken"], kind: str, value: AbstractValue | None
+) -> "CapabilityToken | None":
+    """The first declared token of ``kind`` that covers ``value``, or None.
+
+    A token without a pattern covers every value of its kind; ``None`` (an
+    argument that is absent or not a valid value of the kind's domain) is
+    covered only by such a token. This one relation decides both static
+    containment and runtime admission.
+    """
     for token in declared:
-        if token.kind != t.kind:
+        if token.kind != kind:
             continue
         pattern = token.arg_pattern
         if pattern is None or isinstance(pattern, Top):
-            return True
-        if value_leq(t.arg, pattern):
-            return True
-    return False
+            return token
+        if value is not None and value_leq(value, pattern):
+            return token
+    return None
 
 
 def containment_check(
@@ -322,7 +333,7 @@ def containment_check(
             )
             violations.append(Violation(reason, None, None, (origin,)))
     for t in e.effects:
-        if not _covered(t, declared):
+        if covering_token(declared, t.kind, t.arg) is None:
             violations.append(
                 Violation("undeclared-effect", t.kind, t.arg, (t.provenance,))
             )
@@ -362,11 +373,4 @@ def violation_to_json(v: Violation) -> dict[str, Any]:
         "kind": v.kind,
         "arg": value_to_json(v.arg) if v.arg is not None else None,
         "provenance": [provenance_to_json(p) for p in v.provenance],
-    }
-
-
-def verdict_to_json(v: ContainmentVerdict) -> dict[str, Any]:
-    return {
-        "contained": v.contained,
-        "violations": [violation_to_json(x) for x in v.violations],
     }

@@ -55,11 +55,19 @@ def arg_domain(kind: str) -> str:
         raise UnknownKind(f"unknown capability kind {kind!r}") from None
 
 
-def level_rank(level: str) -> int:
-    try:
-        return VERIFICATION_LEVELS.index(level)
-    except ValueError:
-        raise MalformedManifest(f"unknown verification level {level!r}") from None
+# argument domain -> the abstract value that an argument's text lifts to
+_DOMAIN_VALUES: Mapping[str, type] = MappingProxyType({
+    "host": HostGlob,
+    "path": PathPrefix,
+    "opaque": Opaque,
+})
+
+
+def kind_value(kind: str, text: str) -> AbstractValue:
+    """Lift argument text into the abstract value of ``kind``'s domain (a
+    host glob, a path prefix or an opaque literal). Raises MalformedPattern
+    when the text is not a valid value of that domain."""
+    return _DOMAIN_VALUES[arg_domain(kind)](text)
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +112,7 @@ def parse_capability_token(text: str) -> CapabilityToken:
         raise UnknownKind(f"unknown capability kind {kind!r}")
     if not arg.strip():
         raise MalformedPattern(f"empty argument in capability token {text!r}")
-    domain = arg_domain(kind)
-    if domain == "host":
-        pattern: AbstractValue = HostGlob(arg)
-    elif domain == "path":
-        pattern = PathPrefix(arg)
-    else:
-        pattern = Opaque(arg)
-    return CapabilityToken(kind, pattern)
+    return CapabilityToken(kind, kind_value(kind, arg))
 
 
 # ---------------------------------------------------------------------------

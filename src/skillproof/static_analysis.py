@@ -46,7 +46,6 @@ from .lattice import (
     effects_join,
     make_effect_set,
     value_leq,
-    verdict_to_json,
 )
 from .manifest import Manifest, is_known_kind
 
@@ -1076,7 +1075,7 @@ class StaticReport:
                 script_id: effect_set_to_json(effects)
                 for script_id, effects in self.per_script.items()
             },
-            "verdict": verdict_to_json(self.verdict),
+            "verdict": self.verdict.to_json_dict(),
         }
 
 

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import skillproof.bundle as bundle_module
+from skillproof.bmc import faithful_runtime, instance_hash, method_c
 from skillproof.bundle import (
     SLOT_FILES,
     TrustEntry,
     TrustRoot,
+    VerifyOutcome,
+    attestation_body,
     evidence_path,
     load_private_key,
     load_trust_root,
@@ -19,13 +24,16 @@ from skillproof.bundle import (
     private_key_pem,
     produce_formal_bundle,
     public_key_b64,
+    sign_attestation,
     trust_root_to_json,
     verify_formal_bundle,
 )
-from skillproof.canonical import canonical_loads
+from skillproof.canonical import canonical_loads, canonicalize, hash_bytes
+from skillproof.dispatch import method_b
 from skillproof.errors import LayerFailed, MissingBundleFile
 from skillproof.lattice import value_text
-from skillproof.manifest import parse_manifest
+from skillproof.manifest import declared_kinds, parse_manifest
+from skillproof.static_analysis import method_a
 from tests.conftest import trust_root_for, write_worked_skill
 
 
@@ -87,6 +95,21 @@ def test_trust_root_unique_signers(keypair):
 # ---------------------------------------------------------------------------
 # Production
 # ---------------------------------------------------------------------------
+
+
+def read_evidence(skill: Path) -> dict[str, bytes]:
+    return {slot: evidence_path(skill, slot).read_bytes() for slot in ("static", "types", "smt")}
+
+
+def write_signed_evidence(skill: Path, private, signer_id: str, slots: dict[str, bytes]) -> None:
+    """Write the three evidence slots and an attestation over them signed by
+    ``private``, as a producer that skips the layer checks would."""
+    (skill / "evidence").mkdir(exist_ok=True)
+    for slot, data in slots.items():
+        evidence_path(skill, slot).write_bytes(data)
+    hashes = {slot: hash_bytes(data) for slot, data in slots.items()}
+    body = attestation_body(manifest_hash(parse_manifest(skill)), hashes, signer_id)
+    evidence_path(skill, "attest").write_bytes(canonicalize(sign_attestation(body, private)))
 
 
 def test_produce_writes_four_canonical_files(produced):
@@ -283,3 +306,72 @@ def test_recorded_kmax_drives_the_rerun(fixed_skill: Path, keypair):
     assert doc["k_max"] == 5
     outcome = verify_formal_bundle(fixed_skill, trust_root_for("op", public))
     assert outcome.accepted_level == "formal"
+
+
+def test_signed_uncontained_static_verdict_is_not_formal(worked_skill: Path, keypair):
+    # a trusted signer attests the unfixed skill's own method_a verdict: the
+    # bytes reproduce on re-run, but the layer does not pass
+    private, public = keypair
+    manifest = parse_manifest(worked_skill)
+    kinds = declared_kinds(manifest)
+    report = method_a(worked_skill, manifest)
+    assert not report.verdict.contained
+    slots = {
+        "static": canonicalize(report.to_json_dict()),
+        "types": canonicalize(method_b(manifest).to_json_dict()),
+        "smt": canonicalize(method_c(faithful_runtime(kinds), kinds, 8).to_json_dict()),
+    }
+    write_signed_evidence(worked_skill, private, "op", slots)
+    outcome = verify_formal_bundle(worked_skill, trust_root_for("op", public))
+    assert outcome == VerifyOutcome("declared", ("method-A-cache-miss",))
+
+
+@pytest.mark.parametrize("k_max", [0, 12, "8"])
+def test_malformed_recorded_kmax_degrades(produced, k_max):
+    skill, _, root, (private, _) = produced
+    slots = read_evidence(skill)
+    smt = canonical_loads(slots["smt"])
+    smt["k_max"] = k_max
+    slots["smt"] = canonicalize(smt)
+    write_signed_evidence(skill, private, "operator-root-2026", slots)
+    outcome = verify_formal_bundle(skill, root)
+    assert outcome.accepted_level == "declared"
+    assert "method-C-fail" in outcome.reasons
+    assert not {"sig-invalid", "hash-mismatch:smt"} & set(outcome.reasons)
+
+
+def test_boolean_recorded_kmax_degrades(fixed_skill: Path, keypair):
+    # true == 1 in Python, so a k_max=1 bundle rewritten to "k_max": true,
+    # with a matching instance hash, re-runs to the very same bytes
+    private, public = keypair
+    manifest = parse_manifest(fixed_skill)
+    produce_formal_bundle(fixed_skill, manifest, private, "op", k_max=1)
+    slots = read_evidence(fixed_skill)
+    smt = canonical_loads(slots["smt"])
+    smt["k_max"] = True
+    smt["instance_hash"] = instance_hash(declared_kinds(manifest), True)
+    slots["smt"] = canonicalize(smt)
+    write_signed_evidence(fixed_skill, private, "op", slots)
+    outcome = verify_formal_bundle(fixed_skill, trust_root_for("op", public))
+    assert outcome == VerifyOutcome("declared", ("method-C-fail",))
+
+
+def test_layers_are_looked_up_at_call_time(fixed_skill: Path, keypair, monkeypatch):
+    # the bench's traced run swaps these module attributes for span wrappers,
+    # so produce and verify must reach each layer through them
+    calls: Counter = Counter()
+    for name in ("method_a", "method_b", "method_c"):
+        original = getattr(bundle_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bundle_module, name, counting)
+    private, public = keypair
+    produce_formal_bundle(fixed_skill, parse_manifest(fixed_skill), private, "op")
+    assert calls == {"method_a": 1, "method_b": 1, "method_c": 1}
+    calls.clear()
+    outcome = verify_formal_bundle(fixed_skill, trust_root_for("op", public))
+    assert outcome.accepted_level == "formal"
+    assert calls == {"method_a": 1, "method_b": 1, "method_c": 1}

@@ -119,6 +119,10 @@ def test_produce_pre_fix_exit_1(capsys, worked_skill: Path):
     assert code == 1
     assert doc["error"] == "layer-failed"
     assert doc["layer"] == "methodA"
+    violations = doc["verdict"]["violations"]
+    assert [(v["kind"], v["arg"]) for v in violations] == [
+        ("fs.write.rev", {"variant": "path_prefix", "prefix": "./.cache/"})
+    ]
 
 
 def test_produce_kmax_12_exit_2_bound_too_large(capsys, fixed_skill: Path):

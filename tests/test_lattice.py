@@ -17,6 +17,7 @@ from skillproof.lattice import (
     PathPrefix,
     Provenance,
     containment_check,
+    covering_token,
     effects_join,
     make_effect_set,
     normalize_path,
@@ -340,6 +341,21 @@ def test_bare_token_covers_any_arg():
     effects = make_effect_set([EffectTuple("pay", TOP, PROV)])
     assert containment_check(effects, _declared("pay")).contained
     assert not containment_check(effects, _declared("fs.read")).contained
+
+
+def test_covering_token_picks_the_first_cover():
+    declared = _declared("fs.read(./a/)", "fs.read(./a/b/)", "net.egress")
+    assert covering_token(declared, "fs.read", PathPrefix("./a/b/c")) == declared[0]
+    assert covering_token(declared, "fs.read", PathPrefix("./c")) is None
+    assert covering_token(declared, "net.egress", HostGlob("x.org")) == declared[2]
+    assert covering_token(declared, "pay", Opaque("x")) is None
+
+
+def test_covering_token_none_needs_a_bare_token():
+    # an absent or malformed argument is covered only by a pattern-less token
+    assert covering_token(_declared("fs.read(./)"), "fs.read", None) is None
+    bare = _declared("fs.read(./)", "fs.read")
+    assert covering_token(bare, "fs.read", None) == parse_capability_token("fs.read")
 
 
 @settings(deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from skillproof.errors import (
     MalformedManifest,
+    MalformedPattern,
     MissingManifest,
     UnknownKind,
 )
@@ -21,6 +22,7 @@ from skillproof.manifest import (
     Manifest,
     capability_kinds,
     declared_kinds,
+    kind_value,
     manifest_to_json_dict,
     parse_capability_token,
     parse_manifest,
@@ -53,6 +55,16 @@ def test_parse_path_token():
 def test_parse_opaque_token():
     token = parse_capability_token("tool.invoke(summarise)")
     assert token.arg_pattern == Opaque("summarise")
+
+
+def test_kind_value_lifts_into_the_kind_domain():
+    assert kind_value("net.egress", "*.example.com") == HostGlob("*.example.com")
+    assert kind_value("fs.write.rev", "./a/../b/") == PathPrefix("./b/")
+    assert kind_value("pay", "./a/../b/") == Opaque("./a/../b/")
+    with pytest.raises(MalformedPattern):
+        kind_value("net.egress", "bad host")
+    with pytest.raises(UnknownKind):
+        kind_value("net.ingress", "example.com")
 
 
 def test_unknown_kind_rejected():
