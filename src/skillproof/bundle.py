@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
@@ -86,7 +86,11 @@ def private_key_pem(private: ed25519.Ed25519PrivateKey) -> bytes:
 
 def load_private_key(path: Path | str) -> ed25519.Ed25519PrivateKey:
     data = Path(path).read_bytes()
-    key = serialization.load_pem_private_key(data, password=None)
+    try:
+        key = serialization.load_pem_private_key(data, password=None)
+    except (TypeError, ValueError, UnsupportedAlgorithm) as exc:
+        # TypeError: the key is encrypted and no password is given
+        raise ValueError(f"{path}: cannot load private key: {exc}") from exc
     if not isinstance(key, ed25519.Ed25519PrivateKey):
         raise ValueError(f"{path} is not an Ed25519 private key")
     return key

@@ -60,6 +60,8 @@ def envelope_from_dict(doc: Mapping[str, Any]) -> Envelope:
         op = doc["op"]
     except KeyError:
         raise MalformedEnvelope("envelope lacks an op field") from None
+    except TypeError:
+        raise MalformedEnvelope(f"envelope is a {type(doc).__name__}, not a mapping") from None
     args = doc.get("args", {})
     if not isinstance(args, Mapping):
         raise MalformedEnvelope("envelope args must be a mapping")

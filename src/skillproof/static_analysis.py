@@ -251,11 +251,11 @@ def strip_comments(source: str, language: str) -> str:
 # ---------------------------------------------------------------------------
 # Call-argument lexing (python and node)
 #
-# Parts are ("lit", text) / ("hole", expr) sequences; holes are f-string or
-# template-literal interpolations.
+# Parts are literal text, with None for a hole: an f-string or
+# template-literal interpolation, or a shell variable.
 # ---------------------------------------------------------------------------
 
-Parts = tuple[tuple[str, str], ...]
+Parts = tuple[str | None, ...]
 
 
 @dataclass(frozen=True)
@@ -268,10 +268,9 @@ class ParsedArg:
 _SCAN_CAP = 2000
 
 
-def _read_hole(text: str, i: int) -> tuple[str, int]:
-    """The expression of an interpolation hole whose body starts at ``i``,
-    and the offset just past its closing brace (one past the text when the
-    hole is unterminated)."""
+def _read_hole(text: str, i: int) -> int:
+    """The offset just past the closing brace of an interpolation hole whose
+    body starts at ``i`` (one past the text when the hole is unterminated)."""
     n = len(text)
     depth, j = 1, i
     while j < n:
@@ -282,7 +281,7 @@ def _read_hole(text: str, i: int) -> tuple[str, int]:
             if not depth:
                 break
         j += 1
-    return text[i:j], j + 1
+    return j + 1
 
 
 def _read_string(text: str, i: int, language: str) -> tuple[Parts, int] | None:
@@ -308,12 +307,12 @@ def _read_string(text: str, i: int, language: str) -> tuple[Parts, int] | None:
     template = quote == "`"
     triple = language == "python" and text.startswith(quote * 3, i)
     i += 3 if triple else 1
-    parts: list[tuple[str, str]] = []
+    parts: list[str | None] = []
     lit: list[str] = []
 
     def flush() -> None:
         if lit:
-            parts.append(("lit", "".join(lit)))
+            parts.append("".join(lit))
             lit.clear()
 
     while i < n and i - start < _SCAN_CAP:
@@ -347,8 +346,8 @@ def _read_string(text: str, i: int, language: str) -> tuple[Parts, int] | None:
             continue
         if (is_format and c == "{") or (template and text.startswith("${", i)):
             flush()
-            expr, i = _read_hole(text, i + 1 if c == "{" else i + 2)
-            parts.append(("hole", expr))
+            i = _read_hole(text, i + 1 if c == "{" else i + 2)
+            parts.append(None)
             continue
         lit.append(c)
         i += 1
@@ -388,43 +387,62 @@ def _skip_ws(text: str, i: int) -> int:
     return i
 
 
+def _read_list(text: str, i: int, language: str) -> tuple[Parts, int] | None:
+    """A flat list of string literals starting at ``i``: its elements' parts
+    joined by spaces, and the offset just past its ``]``."""
+    if text[i] != "[":
+        return None
+    n = len(text)
+    j = _skip_ws(text, i + 1)
+    parts: list[str | None] = []
+    while j < n:
+        if text[j] == "]":
+            return tuple(parts), j + 1
+        element = _read_string(text, j, language)
+        if not element:
+            return None
+        if parts:
+            parts.append(" ")
+        parts += element[0]
+        j = _skip_ws(text, element[1])
+        if j < n and text[j] == ",":
+            j = _skip_ws(text, j + 1)
+    return None
+
+
 def read_call_argument(text: str, pos: int, language: str) -> ParsedArg:
     """Parse the argument expression starting at ``pos`` (just past the
-    opening paren or a comma). String literals and flat lists of string
-    literals are recovered; everything else is non-literal."""
+    opening paren or a comma). A string literal or a flat list of string
+    literals is recovered when it is the whole argument; everything else is
+    non-literal."""
     i = _skip_ws(text, pos)
-    n = len(text)
-    if i >= n or text[i] in "),":
+    if i >= len(text) or text[i] in "),":
         return ParsedArg("absent", (), i)
-    read = _read_string(text, i, language)
-    if read:
-        parts, j = read
-        j = _skip_ws(text, j)
-        if j >= n or text[j] in "),":
-            return ParsedArg("literal", parts, j)
-        return ParsedArg("nonliteral", (), _scan_to_arg_end(text, j))
-    if text[i] == "[":
-        j = _skip_ws(text, i + 1)
-        parts: list[tuple[str, str]] = []
-        while j < n:
-            if text[j] == "]":
-                return ParsedArg("list", tuple(parts), _skip_ws(text, j + 1))
-            element = _read_string(text, j, language)
-            if not element:
-                return ParsedArg("nonliteral", (), _scan_to_arg_end(text, i))
-            if parts:
-                parts.append(("lit", " "))
-            parts.extend(element[0])
-            j = _skip_ws(text, element[1])
-            if j < n and text[j] == ",":
-                j = _skip_ws(text, j + 1)
-        return ParsedArg("nonliteral", (), _scan_to_arg_end(text, i))
+    for kind, reader in (("literal", _read_string), ("list", _read_list)):
+        read = reader(text, i, language)
+        if read:
+            parts, j = read
+            j = _skip_ws(text, j)
+            if j >= len(text) or text[j] in "),":
+                return ParsedArg(kind, parts, j)
+            return ParsedArg("nonliteral", (), _scan_to_arg_end(text, j))
     return ParsedArg("nonliteral", (), _scan_to_arg_end(text, i))
 
 
 # ---------------------------------------------------------------------------
 # Argument abstraction
 # ---------------------------------------------------------------------------
+
+
+def _or_top(make: Callable[[str], AbstractValue], text: str) -> AbstractValue:
+    """``make(text)``, or Top when ``text`` is not a valid pattern."""
+    try:
+        return make(text)
+    except MalformedPattern:
+        return TOP
+
+
+_HOST_END = re.compile(r"[/:?#]")
 
 
 def abstract_url(parts: Parts) -> AbstractValue:
@@ -434,85 +452,37 @@ def abstract_url(parts: Parts) -> AbstractValue:
     abstracts to a ``*.suffix`` glob (interpolated values are assumed not to
     carry URL metacharacters); any other interpolation degrades to Top.
     """
-    if not parts or parts[0][0] != "lit":
+    head = parts[0] if parts else None
+    if head is None or not head.lower().startswith(("https://", "http://")):
         return TOP
-    first = parts[0][1]
-    for scheme in ("https://", "http://"):
-        if first.lower().startswith(scheme):
-            first = first[len(scheme):]
+    host: list[str | None] = []
+    for part in (head.partition("//")[2], *parts[1:]):
+        if part is not None and (cut := _HOST_END.search(part)):
+            host.append(part[: cut.start()])
             break
-    else:
-        return TOP
-    items: list[tuple[str, str]] = [("lit", first)] + list(parts[1:])
-    host_items: list[tuple[str, str]] = []
-    for typ, text in items:
-        if typ == "hole":
-            host_items.append((typ, text))
-            continue
-        cut = next((k for k, ch in enumerate(text) if ch in "/:?#"), len(text))
-        host_items.append(("lit", text[:cut]))
-        if cut < len(text):
-            break
-    if not any(typ == "hole" for typ, _ in host_items):
-        host = "".join(text for _, text in host_items)
-        if not host:
-            return TOP
-        try:
-            return HostGlob(host)
-        except MalformedPattern:
-            return TOP
-    seen_dot = False
-    suffix = ""
-    for typ, text in host_items:
-        if typ == "hole":
-            if seen_dot:
-                return TOP
-            continue
-        if not seen_dot:
-            dot = text.find(".")
-            if dot != -1:
-                seen_dot = True
-                suffix = text[dot:]
-        else:
-            suffix += text
-    if not seen_dot or len(suffix) < 2:
-        return TOP
-    try:
-        return HostGlob("*" + suffix)
-    except MalformedPattern:
-        return TOP
+        host.append(part)
+    if None not in host:
+        return _or_top(HostGlob, "".join(host))
+    after_holes = len(host) - host[::-1].index(None)
+    if any(part and "." in part for part in host[:after_holes]):
+        return TOP  # a hole after the first dot
+    _, dot, suffix = "".join(host[after_holes:]).partition(".")
+    return _or_top(HostGlob, "*." + suffix) if dot else TOP
 
 
 def abstract_path(parts: Parts) -> AbstractValue:
     """Path summary: a full literal stays exact; a template keeps its literal
     directory prefix (up to the last ``/`` before the first interpolation)."""
-    if not parts:
-        return TOP
-    if not any(typ == "hole" for typ, _ in parts):
-        text = "".join(t for _, t in parts)
-        if not text:
-            return TOP
-        try:
-            return PathPrefix(text)
-        except MalformedPattern:
-            return TOP
-    if parts[0][0] != "lit":
-        return TOP
-    head = parts[0][1]
-    slash = head.rfind("/")
-    if slash == -1:
-        return TOP
-    try:
-        return PathPrefix(head[: slash + 1])
-    except MalformedPattern:
-        return TOP
+    text = _literal_text(parts)
+    if text is not None:
+        return _or_top(PathPrefix, text)
+    head = parts[0] or ""
+    return _or_top(PathPrefix, head[: head.rfind("/") + 1])  # no "/": empty, so Top
 
 
 def _literal_text(parts: Parts) -> str | None:
     """The text of hole-free parts; None when any part is a hole."""
-    if any(typ == "hole" for typ, _ in parts):
-        return None
-    return "".join(t for _, t in parts)
+    return None if None in parts else "".join(parts)
 
 
 def resolve_spawn_target(command: str, known_scripts: frozenset[str]) -> str | None:
@@ -538,18 +508,18 @@ _SHELL_TOKEN_RE = re.compile(r"""'[^']*'|"[^"]*"|[^\s;|&<>]+""")
 
 def _shell_parts(token: str) -> Parts:
     if token.startswith("'") and token.endswith("'") and len(token) >= 2:
-        return (("lit", token[1:-1]),)
+        return (token[1:-1],)
     if token.startswith('"') and token.endswith('"') and len(token) >= 2:
         token = token[1:-1]
-    parts: list[tuple[str, str]] = []
+    parts: list[str | None] = []
     pos = 0
     for m in _SHELL_HOLE_RE.finditer(token):
         if m.start() > pos:
-            parts.append(("lit", token[pos : m.start()]))
-        parts.append(("hole", m.group()))
+            parts.append(token[pos : m.start()])
+        parts.append(None)
         pos = m.end()
     if pos < len(token):
-        parts.append(("lit", token[pos:]))
+        parts.append(token[pos:])
     return tuple(parts)
 
 
@@ -619,6 +589,11 @@ class RulePack:
                 _compile(rule.pattern)
             except re.error as exc:
                 raise PackError(f"{rule.rule_id}: bad pattern: {exc}") from exc
+        for prefix in self.reversible_prefixes:
+            try:
+                PathPrefix(prefix)
+            except MalformedPattern as exc:
+                raise PackError(f"bad reversible prefix: {exc}") from exc
         object.__setattr__(self, "pack_hash", document_hash(self.to_dict()))
 
     def to_dict(self) -> dict[str, Any]:
@@ -653,12 +628,9 @@ def rule_pack_from_dict(doc: Mapping[str, Any]) -> RulePack:
         prefixes = doc.get("reversible_prefixes", list(DEFAULT_REVERSIBLE_PREFIXES))
         # a bare string would split into one-character prefixes, and "."
         # would make every relative write reversible
-        if not isinstance(prefixes, list) or not all(
-            isinstance(p, str) and p for p in prefixes
-        ):
+        if not isinstance(prefixes, list) or not all(isinstance(p, str) for p in prefixes):
             raise PackError(
-                f"malformed rule pack: reversible_prefixes {prefixes!r} "
-                "is not a list of non-empty strings"
+                f"malformed rule pack: reversible_prefixes {prefixes!r} is not a list of strings"
             )
         return RulePack(
             language=doc["language"],
@@ -839,16 +811,10 @@ class ScriptScan:
 
 
 def _classify_write(arg: AbstractValue, rule: Rule, pack: RulePack) -> str:
-    if rule.reversible:
-        return "fs.write.rev"
-    if isinstance(arg, PathPrefix):
-        for prefix in pack.reversible_prefixes:
-            try:
-                if value_leq(arg, PathPrefix(prefix)):
-                    return "fs.write.rev"
-            except MalformedPattern:
-                continue
-    return "fs.write.irrev"
+    reversible = rule.reversible or any(
+        value_leq(arg, PathPrefix(p)) for p in pack.reversible_prefixes
+    )
+    return "fs.write.rev" if reversible else "fs.write.irrev"
 
 
 _MODE_KEYWORD_RE = re.compile(r"mode\s*=\s*")

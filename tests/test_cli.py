@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 
 from skillproof.bundle import (
     mint_ephemeral_key,
@@ -137,6 +138,23 @@ def test_produce_out_dir_blocked_by_file_exit_2(capsys, fixed_skill: Path, tmp_p
     code, doc, _ = run_cli(capsys, "produce", str(fixed_skill), "--out", str(tmp_path))
     assert code == 2
     assert doc["error"] == "FileExistsError"
+
+
+def test_produce_encrypted_key_exit_2(capsys, fixed_skill: Path, tmp_path: Path):
+    private, _ = mint_ephemeral_key()
+    key_path = tmp_path / "enc.pem"
+    key_path.write_bytes(
+        private.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.BestAvailableEncryption(b"pw"),
+        )
+    )
+    code, doc, _ = run_cli(capsys, "produce", str(fixed_skill), "--key", str(key_path))
+    assert code == 2
+    assert doc["error"] == "ValueError"
+    assert str(key_path) in doc["message"]
+    assert not (fixed_skill / "evidence").exists()
 
 
 def test_verify_flow(capsys, tmp_path: Path):

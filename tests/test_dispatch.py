@@ -117,6 +117,9 @@ def test_malformed_envelope_rejected_at_construction():
         envelope_from_dict({"op": "net.egress", "args": {"host": 5}})
     with pytest.raises(MalformedEnvelope):
         envelope_from_dict({"op": ["x"]})
+    for doc in (["op"], "op", None):
+        with pytest.raises(MalformedEnvelope):
+            envelope_from_dict(doc)
 
 
 def test_envelope_from_dict():

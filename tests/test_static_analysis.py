@@ -340,6 +340,30 @@ def test_spawn_list_argv_resolves():
     assert scan.spawn_edges == {"child.py"}
 
 
+@pytest.mark.parametrize(
+    "source, language, edge",
+    [
+        ('subprocess.run(["./b.sh"])\n', "python", True),
+        ('subprocess.run(["./b.sh"], check=True)\n', "python", True),
+        # a list literal that is only part of the argument names nothing
+        ('subprocess.run(["./b.sh"][:0] + cmd)\n', "python", False),
+        ('subprocess.run(["./b.sh"] * 0 + cmd)\n', "python", False),
+        ('child_process.execFileSync(["./b.sh"][1] || cmd)\n', "node", False),
+    ],
+    ids=["alone", "then-keyword", "slice", "repeat", "node-index"],
+)
+def test_spawn_list_argument_edge_only_when_whole(source: str, language: str, edge: bool):
+    ext, pack = {"python": ("py", PY_PACK), "node": ("js", ND_PACK)}[language]
+    scan = scan_script(Script(f"a.{ext}", language, source), pack, frozenset({"b.sh"}))
+    if edge:
+        assert scan.spawn_edges == {"b.sh"}
+        assert not scan.effects.tainted_top
+    else:
+        assert {(t.kind, t.arg) for t in scan.effects.effects} == {("spawn.proc", Top())}
+        assert scan.effects.taint_origins
+        assert scan.spawn_edges == frozenset()
+
+
 def test_spawn_closure_parent_gains_child_effects():
     parent_effects = scan_script(
         py_script('import os\nos.system("python child.py")\n', "parent.py"),
@@ -568,6 +592,7 @@ def test_bad_pattern_rejected():
         ("reversible_prefixes", "./tmp/"),
         ("reversible_prefixes", ["./tmp/", ""]),
         ("reversible_prefixes", ["./tmp/", 3]),
+        ("reversible_prefixes", ["./tmp/*"]),
         ("rule_id", 5),
         ("pattern", 5),
         ("extract", None),

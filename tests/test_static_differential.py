@@ -5,6 +5,11 @@ kept here as the reference for the regex-jump strippers in
 ``static_analysis``. Anchored rule matching is checked against plain
 ``finditer``, and provenance line numbers against a count from the start of
 the text at every match.
+
+The argument reader and the URL and path abstractions are checked against
+their earlier form, kept below, in which a part is a ``("lit", text)`` or
+``("hole", expr)`` pair; the current parts (text, or None for a hole) are
+converted to pairs for the comparison.
 """
 
 from __future__ import annotations
@@ -15,16 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillproof.lattice import Provenance
+from skillproof.errors import MalformedPattern
+from skillproof.lattice import TOP, AbstractValue, HostGlob, PathPrefix, Provenance
 from skillproof.static_analysis import (
+    ParsedArg,
     Rule,
     RulePack,
     Script,
+    _SCAN_CAP,
     _anchors,
     _compile,
     _matches,
+    _scan_to_arg_end,
+    _skip_ws,
+    abstract_path,
+    abstract_url,
     analyze_script,
     default_rule_packs,
+    read_call_argument,
     strip_comments,
 )
 from tests.conftest import WORKED_SCRIPT
@@ -340,3 +353,363 @@ def test_provenance_lines_on_dense_matches():
     }
     assert len(expected) == 3 * (8000 // WORKED_SCRIPT.count("\n"))
     assert found == expected
+
+
+# ---------------------------------------------------------------------------
+# Argument reading and abstraction: the reference on ("lit" | "hole") pairs
+# ---------------------------------------------------------------------------
+
+
+def _ref_read_hole(text: str, i: int) -> tuple[str, int]:
+    n = len(text)
+    depth, j = 1, i
+    while j < n:
+        if text[j] == "{":
+            depth += 1
+        elif text[j] == "}":
+            depth -= 1
+            if not depth:
+                break
+        j += 1
+    return text[i:j], j + 1
+
+
+def _ref_read_string(text: str, i: int, language: str):
+    n = len(text)
+    is_format = False
+    raw = False
+    start = i
+    if language == "python":
+        j = i
+        prefix = ""
+        while j < n and len(prefix) < 3 and text[j] in "fFrRbBuU":
+            prefix += text[j]
+            j += 1
+        if j < n and text[j] in "'\"":
+            is_format = "f" in prefix.lower()
+            raw = "r" in prefix.lower()
+            i = j
+        elif prefix:
+            return None
+    if i >= n or text[i] not in ("'\"`" if language == "node" else "'\""):
+        return None
+    quote = text[i]
+    template = quote == "`"
+    triple = language == "python" and text.startswith(quote * 3, i)
+    i += 3 if triple else 1
+    parts: list[tuple[str, str]] = []
+    lit: list[str] = []
+
+    def flush() -> None:
+        if lit:
+            parts.append(("lit", "".join(lit)))
+            lit.clear()
+
+    while i < n and i - start < _SCAN_CAP:
+        c = text[i]
+        if c == "\\":
+            nxt = text[i + 1] if i + 1 < n else ""
+            if raw:
+                lit.append(c)
+                lit.append(nxt)
+            elif nxt in ("\\", "'", '"', "`"):
+                lit.append(nxt)
+            elif nxt == "\n":
+                pass  # line continuation
+            else:
+                lit.append(c)
+                lit.append(nxt)
+            i += 2
+            continue
+        if triple:
+            if text.startswith(quote * 3, i):
+                flush()
+                return tuple(parts), i + 3
+        elif c == quote:
+            flush()
+            return tuple(parts), i + 1
+        elif c == "\n" and not template:
+            break  # unterminated single-line string
+        if is_format and text.startswith(("{{", "}}"), i):
+            lit.append(c)
+            i += 2
+            continue
+        if (is_format and c == "{") or (template and text.startswith("${", i)):
+            flush()
+            expr, i = _ref_read_hole(text, i + 1 if c == "{" else i + 2)
+            parts.append(("hole", expr))
+            continue
+        lit.append(c)
+        i += 1
+    flush()
+    return tuple(parts), i  # unterminated; best-effort
+
+
+def ref_read_call_argument(text: str, pos: int, language: str) -> ParsedArg:
+    i = _skip_ws(text, pos)
+    n = len(text)
+    if i >= n or text[i] in "),":
+        return ParsedArg("absent", (), i)
+    read = _ref_read_string(text, i, language)
+    if read:
+        parts, j = read
+        j = _skip_ws(text, j)
+        if j >= n or text[j] in "),":
+            return ParsedArg("literal", parts, j)
+        return ParsedArg("nonliteral", (), _scan_to_arg_end(text, j))
+    if text[i] == "[":
+        j = _skip_ws(text, i + 1)
+        parts: list[tuple[str, str]] = []
+        while j < n:
+            if text[j] == "]":
+                return ParsedArg("list", tuple(parts), _skip_ws(text, j + 1))
+            element = _ref_read_string(text, j, language)
+            if not element:
+                return ParsedArg("nonliteral", (), _scan_to_arg_end(text, i))
+            if parts:
+                parts.append(("lit", " "))
+            parts.extend(element[0])
+            j = _skip_ws(text, element[1])
+            if j < n and text[j] == ",":
+                j = _skip_ws(text, j + 1)
+        return ParsedArg("nonliteral", (), _scan_to_arg_end(text, i))
+    return ParsedArg("nonliteral", (), _scan_to_arg_end(text, i))
+
+
+def ref_abstract_url(parts) -> AbstractValue:
+    if not parts or parts[0][0] != "lit":
+        return TOP
+    first = parts[0][1]
+    for scheme in ("https://", "http://"):
+        if first.lower().startswith(scheme):
+            first = first[len(scheme):]
+            break
+    else:
+        return TOP
+    items = [("lit", first)] + list(parts[1:])
+    host_items = []
+    for typ, text in items:
+        if typ == "hole":
+            host_items.append((typ, text))
+            continue
+        cut = next((k for k, ch in enumerate(text) if ch in "/:?#"), len(text))
+        host_items.append(("lit", text[:cut]))
+        if cut < len(text):
+            break
+    if not any(typ == "hole" for typ, _ in host_items):
+        host = "".join(text for _, text in host_items)
+        if not host:
+            return TOP
+        try:
+            return HostGlob(host)
+        except MalformedPattern:
+            return TOP
+    seen_dot = False
+    suffix = ""
+    for typ, text in host_items:
+        if typ == "hole":
+            if seen_dot:
+                return TOP
+            continue
+        if not seen_dot:
+            dot = text.find(".")
+            if dot != -1:
+                seen_dot = True
+                suffix = text[dot:]
+        else:
+            suffix += text
+    if not seen_dot or len(suffix) < 2:
+        return TOP
+    try:
+        return HostGlob("*" + suffix)
+    except MalformedPattern:
+        return TOP
+
+
+def ref_abstract_path(parts) -> AbstractValue:
+    if not parts:
+        return TOP
+    if not any(typ == "hole" for typ, _ in parts):
+        text = "".join(t for _, t in parts)
+        if not text:
+            return TOP
+        try:
+            return PathPrefix(text)
+        except MalformedPattern:
+            return TOP
+    if parts[0][0] != "lit":
+        return TOP
+    head = parts[0][1]
+    slash = head.rfind("/")
+    if slash == -1:
+        return TOP
+    try:
+        return PathPrefix(head[: slash + 1])
+    except MalformedPattern:
+        return TOP
+
+
+def _pairs(parts) -> tuple[tuple[str, str], ...]:
+    """Current parts in the reference's form, with "" for a hole's expression."""
+    return tuple(("hole", "") if p is None else ("lit", p) for p in parts)
+
+
+def _without_exprs(pairs) -> tuple[tuple[str, str], ...]:
+    return tuple((typ, "" if typ == "hole" else text) for typ, text in pairs)
+
+
+# host-like text is drawn more often than the other pieces, so that globs
+# and exact hosts come up as well as Top
+_HOST_PIECES = ["a", "example", "com", ".", ".", "b-c", "_x", "1", ""]
+_OTHER_PIECES = [
+    "http", "HtTpS", "://", ":/", "//", "s", ":", "/", "?", "#", "..", "*", "*.", "-",
+    "./", "~", " ",
+]
+_literals = st.lists(
+    st.one_of(st.sampled_from(_HOST_PIECES), st.sampled_from(_OTHER_PIECES)), max_size=6
+).map("".join)
+_heads = st.one_of(
+    _literals,
+    st.tuples(
+        st.sampled_from(["https://", "http://", "HTTPS://", "hTTp://", "ftp://", "https:/"]),
+        _literals,
+    ).map("".join),
+)
+_parts = st.tuples(
+    st.one_of(st.none(), _heads),
+    st.lists(st.one_of(st.none(), _literals), max_size=4),
+).map(lambda t: (t[0], *t[1]))
+# URL-shaped parts: a scheme, holes and dot-free text, then dotted labels
+# between holes
+_chunks = st.tuples(
+    st.sampled_from(["", "."]),
+    st.lists(st.sampled_from(["a", "example", "com", "b-c", "_x", "1", "", "*"]), max_size=3).map(
+        ".".join
+    ),
+    st.sampled_from(["", "", ".", "/", ":", "?", "#", "/p.q", ":8"]),
+).map("".join)
+_url_parts = st.tuples(
+    st.sampled_from(["https://", "http://", "HTTPS://", "hTTp://"]),
+    st.sampled_from(["", "a", "x-"]),
+    st.lists(st.one_of(st.none(), st.sampled_from(["", "a", "-b"])), max_size=2),
+    st.lists(st.one_of(st.none(), _chunks), max_size=3),
+).map(lambda t: (t[0] + t[1], *t[2], *t[3]))
+
+
+@settings(deadline=None, max_examples=1500)
+@given(st.one_of(st.just(()), _parts, _url_parts))
+def test_abstractions_agree_with_reference(parts):
+    assert abstract_url(parts) == ref_abstract_url(_pairs(parts))
+    assert abstract_path(parts) == ref_abstract_path(_pairs(parts))
+
+
+@pytest.mark.parametrize(
+    "parts, url",
+    [
+        # a hole after the first dot
+        (("https://a.", None, ".example.com"), TOP),
+        (("https://", None, ".a.", None, ".com"), TOP),
+        # holes before the first dot glob the leftmost label
+        (("https://", None, "-x", None, ".example.com/p"), HostGlob("*.example.com")),
+        (("https://", None, "."), TOP),
+        (("https://", None), TOP),
+        # the scheme decides, in any case
+        (("ftp://example.com",), TOP),
+        (("example.com",), TOP),
+        (("//example.com",), TOP),
+        (("HTTP://Example.com/",), HostGlob("Example.com")),
+        # the host ends at the first "/", ":", "?" or "#"
+        (("https://example.com:8080/x",), HostGlob("example.com")),
+        (("https://example.com?q=1",), HostGlob("example.com")),
+        (("https://example.com#top",), HostGlob("example.com")),
+        (("https://", None, ".example.com:", None), HostGlob("*.example.com")),
+        (("https://", None, ".example.com?", None), HostGlob("*.example.com")),
+        (("https://", None, ".example.com#", None), HostGlob("*.example.com")),
+        (("https://api.example.com/", None), HostGlob("api.example.com")),
+        (("https://",), TOP),
+        ((), TOP),
+        ((None,), TOP),
+    ],
+)
+def test_abstract_url_cases(parts, url):
+    assert abstract_url(parts) == url == ref_abstract_url(_pairs(parts))
+
+
+@pytest.mark.parametrize(
+    "parts, path",
+    [
+        (("./out/", None, ".txt"), PathPrefix("./out/")),
+        (("./out/a.txt",), PathPrefix("./out/a.txt")),
+        (("./out", None), PathPrefix("./")),
+        (("out", None), TOP),
+        ((None, "/x"), TOP),
+        (("",), TOP),
+        ((), TOP),
+        (("./a*/",), TOP),
+        (("./a*/", None), TOP),
+    ],
+)
+def test_abstract_path_cases(parts, path):
+    assert abstract_path(parts) == path == ref_abstract_path(_pairs(parts))
+
+
+def _assert_reads_as_reference(text: str, language: str) -> None:
+    new = read_call_argument(text, 0, language)
+    ref = ref_read_call_argument(text, 0, language)
+    if ref.kind == "list" and ref.end < len(text) and text[ref.end] not in "),":
+        # a list followed by more of the expression is only part of it
+        assert new == ParsedArg("nonliteral", (), _scan_to_arg_end(text, ref.end))
+    else:
+        assert (new.kind, _pairs(new.parts), new.end) == (
+            ref.kind, _without_exprs(ref.parts), ref.end,
+        )
+
+
+_ARG_PIECES = [
+    "'", '"', "`", "f", "r", "b", "f'", 'f"', "[", "]", "(", ")", ",", " ", "\n", "\\",
+    "{", "}", "{{", "${", "x", "./b.sh", "cmd", "[:0]", "[1]", " + ", " * 0", " || ",
+    "'''", "check=True", "a/b",
+]
+# whole string and list literals, each followed by the rest of an argument
+_STRINGS = ['"./b.sh"', "'x'", 'f"{a}/b"', "`${a}.c`", '"a\\"b"', "''", '"open', "r'\\d'"]
+_TAILS = [
+    "", ")", ", check=True)", " )", "[:0] + cmd)", " * 0 + cmd)", "[1] || cmd)",
+    " + x", "\n)", ".y, z)", "]", ", ",
+]
+_lists = st.tuples(
+    st.lists(st.sampled_from(_STRINGS), max_size=3),
+    st.sampled_from([", ", ",", " ", ",\n "]),
+).map(lambda t: "[" + t[1].join(t[0]) + "]")
+_args = st.one_of(
+    st.lists(st.sampled_from(_ARG_PIECES), max_size=24).map("".join),
+    st.tuples(
+        st.one_of(st.sampled_from(_STRINGS), _lists), st.sampled_from(_TAILS)
+    ).map("".join),
+)
+
+
+@settings(deadline=None, max_examples=1500)
+@given(_args, st.sampled_from(["python", "node"]))
+def test_read_call_argument_agrees_with_reference(text, language):
+    _assert_reads_as_reference(text, language)
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ('["./b.sh"][:0] + cmd)', "nonliteral"),
+        ('["./b.sh"] * 0 + cmd)', "nonliteral"),
+        ('["./b.sh"][1] || cmd)', "nonliteral"),
+        ('["./b.sh"]  )', "list"),
+        ('["./b.sh", f"{x}"], check=True)', "list"),
+        ('["./b.sh"]', "list"),
+        ('"./b.sh" + cmd)', "nonliteral"),
+        ('"./b.sh" )', "literal"),
+        ("[cmd])", "nonliteral"),
+        ("[)", "nonliteral"),
+        (" )", "absent"),
+    ],
+)
+def test_read_call_argument_cases(text, kind):
+    assert read_call_argument(text, 0, "python").kind == kind
+    _assert_reads_as_reference(text, "python")
