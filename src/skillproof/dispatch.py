@@ -17,24 +17,17 @@ from typing import Any, Mapping, Union
 from ._version import __version__
 from .canonical import document_hash
 from .errors import MalformedEnvelope, MalformedPattern, RefinementError
-from .lattice import AbstractValue, HostGlob, Opaque, PathPrefix, Top, covering_token
+from .lattice import TOP, AbstractValue, HostGlob, Opaque, PathPrefix, covering_token
 from .manifest import (
     CapabilityToken,
+    Domain,
     Manifest,
     arg_domain,
     capability_kinds,
     declared_kinds,
     is_known_kind,
-    kind_value,
     token_text,
 )
-
-# Envelope argument keys, by argument domain of the capability kind.
-_ARG_KEYS = {"host": "host", "path": "path", "opaque": "target"}
-
-
-def envelope_arg_key(kind: str) -> str:
-    return _ARG_KEYS[arg_domain(kind)]
 
 
 @dataclass(frozen=True)
@@ -129,16 +122,15 @@ def build_refined_dispatch(manifest: Manifest, log_admits: bool = False) -> Refi
 
 def dispatch(dispatcher: RefinedDispatcher, envelope: Envelope) -> DispatchResult:
     """Admit iff some declared token of the envelope's op covers its argument,
-    lifted into the op's domain; an absent or malformed argument is covered
-    only by a token without a pattern. Pure in (declared set, envelope): no
-    randomness, no clock, no IO."""
-    if not is_known_kind(envelope.op):
-        raise MalformedEnvelope(f"envelope op {envelope.op!r} is not in the vocabulary")
-    raw = envelope.args.get(envelope_arg_key(envelope.op))
+    lifted into the op's domain; an absent or malformed argument is Top,
+    which only a token without a pattern covers. Pure in (declared set,
+    envelope): no randomness, no clock, no IO."""
+    domain = arg_domain(envelope.op)
+    raw = envelope.args.get(domain.arg_key)
     try:
-        value = None if raw is None else kind_value(envelope.op, raw)
+        value = TOP if raw is None else domain.lift(raw)
     except MalformedPattern:
-        value = None
+        value = TOP
     token = covering_token(dispatcher.declared, envelope.op, value)
     if token is None:
         return RefinementRejection(envelope.op, dispatcher.declared_hash)
@@ -180,30 +172,27 @@ class TypedDispatchVerdict:
         }
 
 
-def _witness_value(pattern: AbstractValue | None, domain: str) -> str:
+def _witness_value(pattern: AbstractValue, domain: Domain) -> str:
     """A canonical in-pattern witness argument for a declared token."""
-    if pattern is None or isinstance(pattern, Top):
-        return {"host": "witness.invalid", "path": "./witness", "opaque": "witness"}[domain]
     if isinstance(pattern, HostGlob):
         return "probe." + pattern.suffix if pattern.is_wildcard else pattern.pattern
     if isinstance(pattern, PathPrefix):
         return pattern.prefix + "witness" if pattern.is_dir else pattern.prefix
     if isinstance(pattern, Opaque):
         return pattern.literal
-    return "witness"
+    return domain.witness  # Top: no pattern
 
 
 def probe_envelope(kind: str, declared: tuple[CapabilityToken, ...]) -> Envelope:
     """One canonical envelope per vocabulary kind: an in-pattern witness for
     declared kinds, a canonical arbitrary value for undeclared ones."""
     domain = arg_domain(kind)
-    key = envelope_arg_key(kind)
     tokens = sorted((t for t in declared if t.kind == kind), key=token_text)
     if tokens:
         value = _witness_value(tokens[0].arg_pattern, domain)
     else:
-        value = {"host": "probe.undeclared.invalid", "path": "./undeclared", "opaque": "undeclared"}[domain]
-    return Envelope(op=kind, args={key: value}, reasoning="")
+        value = domain.undeclared
+    return Envelope(op=kind, args={domain.arg_key: value}, reasoning="")
 
 
 def method_b(manifest: Manifest) -> TypedDispatchVerdict:

@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # Abstract values
 # ---------------------------------------------------------------------------
 
-_HOST_LABEL_RE = re.compile(r"^[A-Za-z0-9_]([A-Za-z0-9_-]*[A-Za-z0-9_])?$")
+_HOST_LABEL_RE = re.compile(r"[A-Za-z0-9_]([A-Za-z0-9_-]*[A-Za-z0-9_])?")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class HostGlob:
         if not body or "*" in body:
             raise MalformedPattern(f"invalid host pattern {self.pattern!r}")
         labels = body.split(".")
-        if not all(label and _HOST_LABEL_RE.match(label) for label in labels):
+        if not all(_HOST_LABEL_RE.fullmatch(label) for label in labels):
             raise MalformedPattern(f"invalid host pattern {self.pattern!r}")
 
     @property
@@ -292,22 +292,17 @@ class ContainmentVerdict:
 
 
 def covering_token(
-    declared: Iterable["CapabilityToken"], kind: str, value: AbstractValue | None
+    declared: Iterable["CapabilityToken"], kind: str, value: AbstractValue
 ) -> "CapabilityToken | None":
     """The first declared token of ``kind`` that covers ``value``, or None.
 
-    A token without a pattern covers every value of its kind; ``None`` (an
-    argument that is absent or not a valid value of the kind's domain) is
-    covered only by such a token. This one relation decides both static
+    A token without a pattern (Top) covers every value of its kind, and Top
+    (an argument that is absent or not a valid value of the kind's domain)
+    is covered only by such a token. This one relation decides both static
     containment and runtime admission.
     """
-    for token in declared:
-        if token.kind != kind:
-            continue
-        pattern = token.arg_pattern
-        if pattern is None or isinstance(pattern, Top):
-            return token
-        if value is not None and value_leq(value, pattern):
+    for token in declared:  # a plain loop: dispatch runs this per envelope
+        if token.kind == kind and value_leq(value, token.arg_pattern):
             return token
     return None
 

@@ -13,27 +13,42 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping
-
-import yaml
+from typing import Any, Callable, Mapping
 
 from .errors import MalformedManifest, MalformedPattern, MissingManifest, UnknownKind
-from .lattice import AbstractValue, HostGlob, Opaque, PathPrefix, Top, value_text
+from .lattice import TOP, AbstractValue, HostGlob, Opaque, PathPrefix, Top, value_text
 
 # ---------------------------------------------------------------------------
 # Capability vocabulary
 # ---------------------------------------------------------------------------
 
-# kind token -> argument domain ("host" | "path" | "opaque")
-_VOCABULARY: Mapping[str, str] = MappingProxyType({
-    "net.egress": "host",
-    "fs.read": "path",
-    "fs.write.rev": "path",
-    "fs.write.irrev": "path",
-    "tool.invoke": "opaque",
-    "spawn.proc": "opaque",
-    "pay": "opaque",
-    "mutate.schema": "opaque",
+
+@dataclass(frozen=True)
+class Domain:
+    """A kind's argument domain: the abstract value its argument text lifts
+    to, the envelope key that carries the argument, and the probe's values
+    for a declared token without a pattern and for an undeclared kind."""
+
+    lift: Callable[[str], AbstractValue]
+    arg_key: str
+    witness: str
+    undeclared: str
+
+
+_HOST = Domain(HostGlob, "host", "witness.invalid", "probe.undeclared.invalid")
+_PATH = Domain(PathPrefix, "path", "./witness", "./undeclared")
+_OPAQUE = Domain(Opaque, "target", "witness", "undeclared")
+
+# kind token -> argument domain, in probe order
+_VOCABULARY: Mapping[str, Domain] = MappingProxyType({
+    "net.egress": _HOST,
+    "fs.read": _PATH,
+    "fs.write.rev": _PATH,
+    "fs.write.irrev": _PATH,
+    "tool.invoke": _OPAQUE,
+    "spawn.proc": _OPAQUE,
+    "pay": _OPAQUE,
+    "mutate.schema": _OPAQUE,
 })
 
 VERIFICATION_LEVELS = ("unverified", "declared", "tested", "formal")
@@ -48,26 +63,18 @@ def is_known_kind(kind: str) -> bool:
     return kind in _VOCABULARY
 
 
-def arg_domain(kind: str) -> str:
+def arg_domain(kind: str) -> Domain:
     try:
         return _VOCABULARY[kind]
     except KeyError:
         raise UnknownKind(f"unknown capability kind {kind!r}") from None
 
 
-# argument domain -> the abstract value that an argument's text lifts to
-_DOMAIN_VALUES: Mapping[str, type] = MappingProxyType({
-    "host": HostGlob,
-    "path": PathPrefix,
-    "opaque": Opaque,
-})
-
-
 def kind_value(kind: str, text: str) -> AbstractValue:
     """Lift argument text into the abstract value of ``kind``'s domain (a
     host glob, a path prefix or an opaque literal). Raises MalformedPattern
     when the text is not a valid value of that domain."""
-    return _DOMAIN_VALUES[arg_domain(kind)](text)
+    return arg_domain(kind).lift(text)
 
 
 # ---------------------------------------------------------------------------
@@ -77,42 +84,36 @@ def kind_value(kind: str, text: str) -> AbstractValue:
 
 @dataclass(frozen=True)
 class CapabilityToken:
-    """A declared capability: a kind plus an optional argument pattern.
-    No pattern means Top for that kind."""
+    """A declared capability: a kind plus an argument pattern. The default
+    pattern, Top, admits every value of the kind."""
 
     kind: str
-    arg_pattern: AbstractValue | None = None
+    arg_pattern: AbstractValue = TOP
 
 
 def token_text(token: CapabilityToken) -> str:
-    if token.arg_pattern is None or isinstance(token.arg_pattern, Top):
+    if isinstance(token.arg_pattern, Top):
         return token.kind
     return f"{token.kind}({value_text(token.arg_pattern)})"
 
 
-_BARE_TOKEN_RE = re.compile(r"^([A-Za-z][\w.]*)$")
-_ARG_TOKEN_RE = re.compile(r"^([A-Za-z][\w.]*)\((.+)\)$", re.DOTALL)
+_TOKEN_RE = re.compile(r"([A-Za-z][\w.]*)(?:\((.+)\))?", re.DOTALL)
 
 
 def parse_capability_token(text: str) -> CapabilityToken:
     """Parse ``kind`` or ``kind(pattern)``; the pattern's abstract domain is
     determined by the kind (host glob, path prefix, or opaque literal)."""
     text = text.strip()
-    bare = _BARE_TOKEN_RE.match(text)
-    if bare:
-        kind = bare.group(1)
-        if not is_known_kind(kind):
-            raise UnknownKind(f"unknown capability kind {kind!r}")
-        return CapabilityToken(kind, None)
-    with_arg = _ARG_TOKEN_RE.match(text)
-    if not with_arg:
+    token = _TOKEN_RE.fullmatch(text)
+    if not token:
         raise MalformedPattern(f"malformed capability token {text!r}")
-    kind, arg = with_arg.group(1), with_arg.group(2)
-    if not is_known_kind(kind):
-        raise UnknownKind(f"unknown capability kind {kind!r}")
+    kind, arg = token.groups()
+    domain = arg_domain(kind)
+    if arg is None:
+        return CapabilityToken(kind)
     if not arg.strip():
         raise MalformedPattern(f"empty argument in capability token {text!r}")
-    return CapabilityToken(kind, kind_value(kind, arg))
+    return CapabilityToken(kind, domain.lift(arg))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,8 @@ def manifest_from_json_doc(doc: Any, where: str = "skill.json") -> Manifest:
 
 
 def _manifest_from_skill_md(text: str, skill_id: str, where: str) -> Manifest:
+    import yaml  # only SKILL.md front-matter needs it
+
     lines = text.splitlines()
     if not lines or lines[0].strip() != "---":
         raise MalformedManifest(f"{where}: SKILL.md lacks YAML front-matter")

@@ -965,8 +965,9 @@ def scan_script(
         extract = _EXTRACTORS[rule.extract]
         line, counted = 1, 0  # newlines are counted once, up to each match in turn
         for m in _matches(rule.pattern, text):
-            line += text.count("\n", counted, m.start())
-            counted = m.start()
+            start = m.end() - len(m[0].lstrip())  # a leading separator may end the line before
+            line += text.count("\n", counted, start)
+            counted = start
             extract(scan, rule, m.end(), Provenance(script.id, line, rule.rule_id))
 
     return ScriptScan(

@@ -70,6 +70,13 @@ def test_reject_missing_arg_for_patterned_token(worked_dispatcher):
     )
 
 
+def test_reject_host_with_a_newline(worked_dispatcher):
+    # a newline host does not lift, so it is Top, which the pattern does not cover
+    for host in ["evil.org\n.example.com", "api.example.com\n", "x\n.example.com"]:
+        result = dispatch(worked_dispatcher, Envelope("net.egress", {"host": host}))
+        assert isinstance(result, RefinementRejection), host
+
+
 def test_path_argument_checked(worked_dispatcher):
     assert isinstance(
         dispatch(worked_dispatcher, Envelope("fs.read", {"path": "./.cache/x"})), Admit

@@ -175,6 +175,10 @@ def test_host_glob_validation():
         HostGlob("")
     with pytest.raises(MalformedPattern):
         HostGlob("*.")
+    # each label must match whole: "$" would also match before a final "\n"
+    for bad in ["a.com\n", "evil.org\n.example.com", "*.a\n.com", "a.com\n\n"]:
+        with pytest.raises(MalformedPattern):
+            HostGlob(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +357,9 @@ def test_covering_token_picks_the_first_cover():
 
 def test_covering_token_none_needs_a_bare_token():
     # an absent or malformed argument is covered only by a pattern-less token
-    assert covering_token(_declared("fs.read(./)"), "fs.read", None) is None
+    assert covering_token(_declared("fs.read(./)"), "fs.read", TOP) is None
     bare = _declared("fs.read(./)", "fs.read")
-    assert covering_token(bare, "fs.read", None) == parse_capability_token("fs.read")
+    assert covering_token(bare, "fs.read", TOP) == parse_capability_token("fs.read")
 
 
 @settings(deadline=None)

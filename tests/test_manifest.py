@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skillproof
 from skillproof.errors import (
     MalformedManifest,
     MalformedPattern,
@@ -44,7 +48,7 @@ def test_parse_host_token():
 
 def test_parse_bare_token_defaults_to_top():
     token = parse_capability_token("pay")
-    assert token == CapabilityToken("pay", None)
+    assert token == CapabilityToken("pay")
 
 
 def test_parse_path_token():
@@ -238,6 +242,28 @@ def test_skill_json_precedence(tmp_path: Path):
     m = parse_manifest(tmp_path)
     assert "pay" not in {t.kind for t in m.caps}
     assert m.id == "summarise-fetched-html"
+
+
+def test_yaml_is_imported_only_for_skill_md(tmp_path: Path):
+    json_skill = write_worked_skill(tmp_path / "json")
+    md_skill = tmp_path / "md"
+    md_skill.mkdir()
+    (md_skill / "SKILL.md").write_text("---\ncaps: [pay]\n---\n")
+    code = (
+        "import sys, skillproof.cli\n"
+        "from skillproof.manifest import parse_manifest\n"
+        "parse_manifest(sys.argv[1])\n"
+        "print('yaml' in sys.modules)\n"
+        "parse_manifest(sys.argv[2])\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    src = str(Path(skillproof.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(json_skill), str(md_skill)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,21 @@ def test_shell_taints():
     assert is_tainted(". $lib\n", "shell")
 
 
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("source $X\n", 1),
+        ("echo a\nsource $X\n", 2),
+        ("echo a\n\nsource $X\n", 3),
+        ("echo a\necho b; . $X\n", 2),
+    ],
+)
+def test_source_var_taint_line_is_the_command_line(source: str, line: int):
+    # the rule's leading separator may be the previous line's newline
+    es = analyze_script(Script("s.sh", "shell", source), SH_PACK)
+    assert [(p.rule_id, p.line) for p in es.taint_origins] == [("sh.taint.source-var", line)]
+
+
 def test_node_effects():
     assert effects_of('fetch("https://api.example.com/x")\n', "node") == {
         ("net.egress", HostGlob("api.example.com"))
