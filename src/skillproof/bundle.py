@@ -109,6 +109,17 @@ class TrustEntry:
     public_key: str  # base64 of the raw 32-byte key
     max_level: str
 
+    def __post_init__(self) -> None:
+        # a bad entry is the trust root's fault, not a bundle's bad signature
+        if not isinstance(self.signer_id, str):
+            raise ValueError(f"signer_id {self.signer_id!r} is not a string")
+        if self.max_level not in VERIFICATION_LEVELS:
+            raise ValueError(f"unknown max_level {self.max_level!r} for {self.signer_id!r}")
+        if not isinstance(self.public_key, str):
+            raise ValueError(f"public_key of {self.signer_id!r} is not a string")
+        if len(base64.b64decode(self.public_key, validate=True)) != 32:
+            raise ValueError(f"public_key of {self.signer_id!r} is not a 32-byte key")
+
 
 @dataclass(frozen=True)
 class TrustRoot:
@@ -118,9 +129,6 @@ class TrustRoot:
         ids = [e.signer_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise ValueError("trust root signer_ids must be unique")
-        for entry in self.entries:
-            if entry.max_level not in VERIFICATION_LEVELS:
-                raise ValueError(f"unknown max_level {entry.max_level!r} for {entry.signer_id!r}")
 
     def lookup(self, signer_id: str) -> TrustEntry | None:
         for entry in self.entries:

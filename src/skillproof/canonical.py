@@ -20,57 +20,48 @@ from typing import Any
 
 from .errors import NonCanonicalizable
 
-_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
-_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
 
-
-def _escape(text: str) -> str:
-    if _NEEDS_ESCAPE.search(text) is None:
-        return text
-    return text.translate(_ESCAPES)
-
-
-def _write(value: Any, out: list[str]) -> None:
-    # Strings, objects and arrays come first: they are most of every document.
-    if isinstance(value, str):
-        out.append(f'"{_escape(value)}"')
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
+def _check(value: Any) -> None:
+    """Raise for anything the canonical form forbids. ``json`` itself would
+    write floats, and would turn ``1``/``None``/``True`` keys into strings."""
+    if isinstance(value, dict):
+        for key, item in value.items():
             if not isinstance(key, str):
                 raise NonCanonicalizable(f"object key {key!r} is not a string")
-            out.append(f'{"," if i else ""}"{_escape(key)}":')
-            _write(value[key], out)
-        out.append("}")
+            _check(item)
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
+        for item in value:
+            _check(item)
     elif isinstance(value, float):
         raise NonCanonicalizable(
             f"float {value!r} is not canonicalizable; encode reals as decimal strings"
         )
-    else:
+    elif not (value is None or isinstance(value, (str, int))):
         raise NonCanonicalizable(f"type {type(value).__name__} is not canonicalizable")
+
+
+_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode
+
+# ``json`` writes five control characters in short form; the canonical bytes
+# spell every control character as ``\u00xx``. Each backslash that ``json``
+# writes opens a two-character pair, so reading pairs from left to right
+# never starts inside an escape: ``\\n`` is the pair ``\\`` and then ``n``.
+_ESCAPE_PAIR = re.compile(r"\\(.)")
+_SHORT_FORM = {"b": "\\u0008", "t": "\\u0009", "n": "\\u000a", "f": "\\u000c", "r": "\\u000d"}
+
+
+def _long_form(pair: re.Match[str]) -> str:
+    return _SHORT_FORM.get(pair.group(1), pair.group())
 
 
 def canonicalize(value: Any) -> bytes:
     """Encode ``value`` as canonical JSON bytes (UTF-8)."""
-    out: list[str] = []
-    _write(value, out)
+    _check(value)
+    text = _ENCODE(value)
+    if "\\" in text:
+        text = _ESCAPE_PAIR.sub(_long_form, text)
     try:
-        return "".join(out).encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise NonCanonicalizable(f"string is not valid UTF-8: {exc}") from exc
 

@@ -8,6 +8,7 @@ everything else, with Bottom/Top anchoring the order.
 
 from __future__ import annotations
 
+import posixpath
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Union
@@ -64,31 +65,14 @@ def normalize_path(path: str) -> str:
     a trailing ``/`` marking a directory prefix."""
     if not path:
         raise MalformedPattern("empty path pattern")
-    is_dir = path.endswith("/") or path in (".", "..")
-    is_abs = path.startswith("/")
-    stack: list[str] = []
-    for seg in path.split("/"):
-        if seg in ("", "."):
-            continue
-        if seg == "..":
-            if stack and stack[-1] != "..":
-                stack.pop()
-            elif not is_abs:
-                stack.append("..")
-            # ".." at the root of an absolute path stays at the root
-        else:
-            stack.append(seg)
-    body = "/".join(stack)
-    if is_abs:
-        text = "/" + body
-    elif not stack:
-        text = "./"
-        return text
-    elif stack[0] == "..":
-        text = body
-    else:
-        text = "./" + body
-    if is_dir and not text.endswith("/"):
+    text = posixpath.normpath(path)
+    if text.startswith("//"):  # POSIX keeps exactly two leading slashes
+        text = text[1:]
+    if text == ".":
+        return "./"
+    if not (text.startswith(("/", "../")) or text == ".."):
+        text = "./" + text
+    if (path.endswith("/") or path in (".", "..")) and not text.endswith("/"):
         text += "/"
     return text
 

@@ -485,13 +485,19 @@ def _literal_text(parts: Parts) -> str | None:
     return None if None in parts else "".join(parts)
 
 
+_SHELL_CONTROL = re.compile(r"[;&|<>$`()\n]")
+_INTERPRETER = re.compile(r"bash|sh|python[0-9.]*|node")
+
+
 def resolve_spawn_target(command: str, known_scripts: frozenset[str]) -> str | None:
-    """A spawn target counts as internal only when a command token literally
-    names a sibling script."""
-    for token in command.split():
-        candidate = token[2:] if token.startswith("./") else token
-        if token in known_scripts:
-            return token
+    """A spawn target counts as internal only when the program, or an
+    interpreter's first argument, literally names a sibling script. Shell
+    control characters can start any other program, so they rule out an edge."""
+    tokens = command.split()
+    if not tokens or _SHELL_CONTROL.search(command):
+        return None
+    token = tokens[1] if _INTERPRETER.fullmatch(tokens[0]) and len(tokens) > 1 else tokens[0]
+    for candidate in (token, token[2:] if token.startswith("./") else token):
         if candidate in known_scripts:
             return candidate
     return None
@@ -552,6 +558,14 @@ class Rule:
     kind: str | None = None
     reversible: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("rule_id", "pattern", "extract"):
+            if not isinstance(getattr(self, name), str):
+                raise PackError(f"malformed rule: {name} {getattr(self, name)!r} is not a string")
+        # bool("false") is True, and a reversible rule makes every write it finds reversible
+        if not isinstance(self.reversible, bool):
+            raise PackError(f"malformed rule: reversible {self.reversible!r} is not a boolean")
+
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "rule_id": self.rule_id,
@@ -574,6 +588,12 @@ class RulePack:
     pack_hash: str = field(init=False, default="")
 
     def __post_init__(self) -> None:
+        # a bare string would split into one-character prefixes, and "."
+        # would make every relative write reversible
+        prefixes = self.reversible_prefixes
+        if not isinstance(prefixes, (list, tuple)) or not all(isinstance(p, str) for p in prefixes):
+            raise PackError(f"reversible_prefixes {prefixes!r} is not a list of strings")
+        object.__setattr__(self, "reversible_prefixes", tuple(prefixes))
         if self.language not in LANGUAGES:
             raise PackError(f"unknown rule-pack language {self.language!r}")
         seen: set[str] = set()
@@ -606,37 +626,16 @@ class RulePack:
 
 
 def _rule_from_dict(r: Mapping[str, Any]) -> Rule:
-    for key in ("rule_id", "pattern", "extract"):
-        if not isinstance(r[key], str):
-            raise PackError(f"malformed rule pack: {key} {r[key]!r} is not a string")
-    # bool("false") is True, and a reversible rule makes every write it finds reversible
-    reversible = r.get("reversible", False)
-    if not isinstance(reversible, bool):
-        raise PackError(f"malformed rule pack: reversible {reversible!r} is not a boolean")
-    return Rule(
-        rule_id=r["rule_id"],
-        pattern=r["pattern"],
-        extract=r["extract"],
-        kind=r.get("kind"),
-        reversible=reversible,
-    )
+    return Rule(r["rule_id"], r["pattern"], r["extract"], r.get("kind"), r.get("reversible", False))
 
 
 def rule_pack_from_dict(doc: Mapping[str, Any]) -> RulePack:
     try:
-        rules = tuple(_rule_from_dict(r) for r in doc["rules"])
-        prefixes = doc.get("reversible_prefixes", list(DEFAULT_REVERSIBLE_PREFIXES))
-        # a bare string would split into one-character prefixes, and "."
-        # would make every relative write reversible
-        if not isinstance(prefixes, list) or not all(isinstance(p, str) for p in prefixes):
-            raise PackError(
-                f"malformed rule pack: reversible_prefixes {prefixes!r} is not a list of strings"
-            )
         return RulePack(
             language=doc["language"],
             version=doc["version"],
-            rules=rules,
-            reversible_prefixes=tuple(prefixes),
+            rules=tuple(_rule_from_dict(r) for r in doc["rules"]),
+            reversible_prefixes=doc.get("reversible_prefixes", DEFAULT_REVERSIBLE_PREFIXES),
         )
     except (KeyError, TypeError) as exc:
         raise PackError(f"malformed rule pack: {exc}") from exc
@@ -923,7 +922,8 @@ def _shell_path(
 
 
 def _shell_spawn(scan: _Scan, rule: Rule, end: int, prov: Provenance) -> None:
-    token = _shell_first_token(_shell_line_rest(scan.text, end))
+    # the interpreter's first argument: a flag such as -c or -r runs other code
+    token = _shell_first_token(_shell_line_rest(scan.text, end), skip_flags=False)
     scan.emit_spawn(None if token is None else _literal_text(_shell_parts(token)), prov)
 
 

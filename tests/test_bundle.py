@@ -267,6 +267,18 @@ def test_unauthorized_signer_level(fixed_skill: Path, keypair):
     assert outcome.reasons == ("signer-not-authorised",)
 
 
+def test_resigned_non_formal_attestation_not_authorised(produced):
+    # a trusted signer's own signature over a lower level is no formal claim
+    skill, _, root, (private, _) = produced
+    doc = json.loads(evidence_path(skill, "attest").read_bytes())
+    body = {k: v for k, v in doc.items() if k != "signature"}
+    body["verification_level"] = "tested"
+    evidence_path(skill, "attest").write_bytes(canonicalize(sign_attestation(body, private)))
+    outcome = verify_formal_bundle(skill, root)
+    assert outcome.accepted_level == "declared"
+    assert outcome.reasons == ("signer-not-authorised",)
+
+
 def test_unknown_signer_rejected(produced):
     skill, _, _, (private, _) = produced
     _, stranger = mint_ephemeral_key()

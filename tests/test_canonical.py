@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillproof.canonical import _escape, canonical_loads, canonicalize, document_hash
+from skillproof.canonical import canonical_loads, canonicalize, document_hash
 from skillproof.errors import NonCanonicalizable
 
 
@@ -114,13 +114,92 @@ def _escape_char_by_char(text: str) -> str:
 @settings(deadline=None, max_examples=300)
 @given(st.text(st.characters(max_codepoint=0x7F)) | st.text())
 def test_escape_agrees_with_char_by_char_reference(text):
-    assert _escape(text) == _escape_char_by_char(text)
+    assert canonicalize(text) == ('"' + _escape_char_by_char(text) + '"').encode()
 
 
 def test_escape_every_control_character():
     text = "".join(chr(c) for c in range(0x80)) + "\ud800é\U0001f600"
-    assert _escape(text) == _escape_char_by_char(text)
-    assert _escape("plain text") == "plain text"
+    with pytest.raises(NonCanonicalizable):  # a lone surrogate has no UTF-8 form
+        canonicalize(text)
+    sound = text.replace("\ud800", "")
+    assert canonicalize(sound) == ('"' + _escape_char_by_char(sound) + '"').encode()
+    assert canonicalize("plain text") == b'"plain text"'
+
+
+def _reference_write(value, out: list) -> None:
+    """The hand-written encoder that ``json``'s encoder replaced, kept as
+    the reference for the bytes it must go on producing."""
+    if isinstance(value, str):
+        out.append('"' + _escape_char_by_char(value) + '"')
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise NonCanonicalizable(f"object key {key!r} is not a string")
+            out.append(("," if i else "") + '"' + _escape_char_by_char(key) + '":')
+            _reference_write(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _reference_write(item, out)
+        out.append("]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    else:  # floats and every other type
+        raise NonCanonicalizable(f"type {type(value).__name__} is not canonicalizable")
+
+
+def _reference_canonicalize(value) -> bytes:
+    out: list[str] = []
+    _reference_write(value, out)
+    try:
+        return "".join(out).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise NonCanonicalizable(str(exc)) from exc
+
+
+_hostile_text = st.text(st.characters(blacklist_categories=()), max_size=10) | st.text(
+    st.sampled_from('\x00\x08\t\n\x0b\x0c\r\x1f "\\/bfnrtu\x7fé\ud800\udfff\ue000\U0001f600'),
+    max_size=10,
+)
+_hostile_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | _hostile_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_hostile_text | st.integers(-2, 2) | st.none() | st.booleans(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_hostile_docs)
+def test_agrees_with_reference_encoder_or_both_raise(doc):
+    try:
+        expected = _reference_canonicalize(doc)
+    except (NonCanonicalizable, TypeError):  # TypeError: sorting mixed key types
+        with pytest.raises(NonCanonicalizable):
+            canonicalize(doc)
+    else:
+        assert canonicalize(doc) == expected
+
+
+def test_mixed_key_types_raise_noncanonicalizable():
+    with pytest.raises(NonCanonicalizable):
+        canonicalize({1: 0, "a": 0})
 
 
 def test_canonical_loads_rejects_float_literals():

@@ -3,6 +3,7 @@ total exit codes."""
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -183,6 +184,18 @@ def test_verify_flow(capsys, tmp_path: Path):
     assert "hash-mismatch:types" in doc["reasons"]
 
 
+def test_verify_without_manifest_is_declared_exit_1(capsys, tmp_path: Path):
+    skill = write_worked_skill(tmp_path / "skill", fixed=True)
+    private, public = mint_ephemeral_key()
+    produce_formal_bundle(skill, parse_manifest(skill), private, "op")
+    (skill / "skill.json").unlink()
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(trust_root_to_json(trust_root_for("op", public))))
+    code, doc, _ = run_cli(capsys, "verify", str(skill), "--trust-roots", str(roots))
+    assert code == 1
+    assert doc == {"accepted_level": "declared", "reasons": ["hash-mismatch:manifest"]}
+
+
 def test_verify_empty_trust_root_exit_1(capsys, tmp_path: Path):
     skill = write_worked_skill(tmp_path / "skill", fixed=True)
     private, _ = mint_ephemeral_key()
@@ -202,6 +215,9 @@ def test_verify_missing_trust_root_file_exit_2(capsys, tmp_path: Path):
     assert code == 2
 
 
+_KEY_32 = base64.b64encode(bytes(32)).decode("ascii")
+
+
 @pytest.mark.parametrize(
     "roots_doc",
     [
@@ -209,8 +225,21 @@ def test_verify_missing_trust_root_file_exit_2(capsys, tmp_path: Path):
         [1, 2],
         {"entries": [{"signer_id": "op", "max_level": "formal"}]},
         {"entries": [{"signer_id": "op", "public_key": "AAAA", "max_level": "bogus"}]},
+        {"entries": [{"signer_id": "op", "public_key": "not base64!", "max_level": "formal"}]},
+        {"entries": [{"signer_id": "op", "public_key": "AAAA", "max_level": "formal"}]},
+        {"entries": [{"signer_id": "op", "public_key": 5, "max_level": "formal"}]},
+        {"entries": [{"signer_id": 7, "public_key": _KEY_32, "max_level": "formal"}]},
     ],
-    ids=["no-entries", "not-an-object", "entry-without-public-key", "unknown-max-level"],
+    ids=[
+        "no-entries",
+        "not-an-object",
+        "entry-without-public-key",
+        "unknown-max-level",
+        "key-not-base64",
+        "key-not-32-bytes",
+        "key-not-a-string",
+        "signer-id-not-a-string",
+    ],
 )
 def test_verify_malformed_trust_root_exit_2(capsys, tmp_path: Path, roots_doc):
     skill = write_worked_skill(tmp_path / "skill", fixed=True)

