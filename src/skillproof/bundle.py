@@ -13,7 +13,6 @@ the attestation but disagreeing with the live re-run is drift.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -24,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from ._version import __version__
 from .bmc import BmcVerdict, faithful_runtime, instance_hash, method_c
-from .canonical import canonicalize, hash_bytes
+from .canonical import canonical_loads, canonicalize, hash_bytes
 from .dispatch import TypedDispatchVerdict, method_b
 from .errors import (
     BoundTooLarge,
@@ -33,6 +32,7 @@ from .errors import (
     MalformedManifest,
     MissingBundleFile,
     MissingManifest,
+    NonCanonicalizable,
 )
 from .manifest import (
     VERIFICATION_LEVELS,
@@ -126,6 +126,12 @@ class TrustRoot:
     entries: tuple[TrustEntry, ...]
 
     def __post_init__(self) -> None:
+        entries = self.entries
+        if not isinstance(entries, (list, tuple)) or not all(
+            isinstance(e, TrustEntry) for e in entries
+        ):
+            raise ValueError("trust root entries must be a list of TrustEntry values")
+        object.__setattr__(self, "entries", tuple(entries))
         ids = [e.signer_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise ValueError("trust root signer_ids must be unique")
@@ -147,15 +153,15 @@ def trust_root_to_json(root: TrustRoot) -> dict[str, Any]:
 
 
 def load_trust_root(path: Path | str) -> TrustRoot:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
+        doc = canonical_loads(data)
         entries = tuple(
             TrustEntry(e["signer_id"], e["public_key"], e["max_level"])
             for e in doc["entries"]
         )
         return TrustRoot(entries)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NonCanonicalizable) as exc:
         raise ValueError(f"malformed trust root {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -334,15 +340,14 @@ def verify_formal_bundle(
     reasons: list[str] = []
 
     # Step 1+2: attestation signature and signer authorization.
-    attest_doc: dict[str, Any] | None = None
     try:
-        parsed = json.loads(raw["attest"].decode("utf-8"))
-        if not isinstance(parsed, dict) or "signature" not in parsed:
-            raise ValueError("attestation shape")
-        attest_doc = parsed
-    except (ValueError, UnicodeDecodeError):
+        attest_doc = canonical_loads(raw["attest"])
+    except NonCanonicalizable:
+        attest_doc = None
+    if not isinstance(attest_doc, dict) or "signature" not in attest_doc:
         reasons.append("sig-invalid")
-    if attest_doc is not None:
+        attest_doc = None
+    else:
         _verify_signature(attest_doc, trust_root, reasons)
 
     # Step 1 continued: the live manifest must be the attested one.
@@ -368,12 +373,12 @@ def verify_formal_bundle(
         if slot == "smt":
             # the trace layer re-runs at the bound the evidence records
             try:
-                smt_doc = json.loads(raw["smt"].decode("utf-8"))
+                smt_doc = canonical_loads(raw["smt"])
                 k_max = smt_doc["k_max"]
                 recorded_instance = smt_doc["instance_hash"]
-                if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < 1:
-                    raise ValueError("k_max shape")
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            except (NonCanonicalizable, KeyError, TypeError):
+                k_max = None
+            if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < 1:
                 reasons.append(failed)
                 continue
             if instance_hash(declared_kinds(manifest), k_max) != recorded_instance:

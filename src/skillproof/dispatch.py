@@ -41,7 +41,11 @@ class Envelope:
     def __post_init__(self) -> None:
         if not isinstance(self.op, str) or not is_known_kind(self.op):
             raise MalformedEnvelope(f"envelope op {self.op!r} is not in the vocabulary")
-        for key, value in self.args.items():
+        try:
+            items = self.args.items()
+        except AttributeError:
+            raise MalformedEnvelope("envelope args must be a mapping") from None
+        for key, value in items:
             if not isinstance(key, str) or not key:
                 raise MalformedEnvelope("envelope arg keys must be non-empty strings")
             if not isinstance(value, str):

@@ -42,6 +42,8 @@ class HostGlob:
     pattern: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pattern, str):
+            raise MalformedPattern(f"host pattern {self.pattern!r} is not a string")
         body = self.pattern[2:] if self.pattern.startswith("*.") else self.pattern
         if not body or "*" in body:
             raise MalformedPattern(f"invalid host pattern {self.pattern!r}")
@@ -85,6 +87,8 @@ class PathPrefix:
     prefix: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.prefix, str):
+            raise MalformedPattern(f"path pattern {self.prefix!r} is not a string")
         if "*" in self.prefix:
             raise MalformedPattern(
                 f"path pattern {self.prefix!r} may not contain wildcards; "

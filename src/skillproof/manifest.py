@@ -8,14 +8,20 @@ name it; until then the scanner's conservative taint applies.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .errors import MalformedManifest, MalformedPattern, MissingManifest, UnknownKind
+from .canonical import canonical_loads, canonicalize
+from .errors import (
+    MalformedManifest,
+    MalformedPattern,
+    MissingManifest,
+    NonCanonicalizable,
+    UnknownKind,
+)
 from .lattice import TOP, AbstractValue, HostGlob, Opaque, PathPrefix, Top, value_text
 
 # ---------------------------------------------------------------------------
@@ -68,13 +74,6 @@ def arg_domain(kind: str) -> Domain:
         return _VOCABULARY[kind]
     except KeyError:
         raise UnknownKind(f"unknown capability kind {kind!r}") from None
-
-
-def kind_value(kind: str, text: str) -> AbstractValue:
-    """Lift argument text into the abstract value of ``kind``'s domain (a
-    host glob, a path prefix or an opaque literal). Raises MalformedPattern
-    when the text is not a valid value of that domain."""
-    return arg_domain(kind).lift(text)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +161,10 @@ def manifest_to_json_dict(m: Manifest) -> dict[str, Any]:
 def _parse_caps(raw: Any, where: str) -> tuple[CapabilityToken, ...]:
     if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
         raise MalformedManifest(f"{where}: caps must be a list of strings")
+    try:
+        canonicalize(raw)  # YAML can spell a lone surrogate, which has no UTF-8 form
+    except NonCanonicalizable as exc:
+        raise MalformedManifest(f"{where}: caps: {exc}") from exc
     tokens = [parse_capability_token(c) for c in raw]
     seen: dict[str, str] = {}
     for source, token in zip(raw, tokens):
@@ -237,7 +240,9 @@ def _manifest_from_skill_md(text: str, skill_id: str, where: str) -> Manifest:
         raise MalformedManifest(f"{where}: unterminated YAML front-matter") from None
     try:
         front = yaml.safe_load("\n".join(lines[1:end])) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: a scalar that resolves to an impossible date, or to an
+        # integer beyond the interpreter's digit limit
         raise MalformedManifest(f"{where}: bad YAML front-matter: {exc}") from exc
     if not isinstance(front, dict):
         raise MalformedManifest(f"{where}: front-matter must be a mapping")
@@ -254,8 +259,8 @@ def parse_manifest(source_dir: Path | str) -> Manifest:
     skill_md = source_dir / "SKILL.md"
     if skill_json.is_file():
         try:
-            doc = json.loads(skill_json.read_text(encoding="utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            doc = canonical_loads(skill_json.read_bytes())
+        except NonCanonicalizable as exc:
             raise MalformedManifest(f"{skill_json}: bad JSON: {exc}") from exc
         return manifest_from_json_doc(doc, where=str(skill_json))
     if skill_md.is_file():

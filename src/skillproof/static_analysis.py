@@ -12,7 +12,6 @@ them), so constructs inside strings still count toward the effect set.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial, reduce
@@ -22,14 +21,11 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 try:
     from re import _parser as _sre_parse  # Python 3.11+
 except ImportError:  # pragma: no cover - Python 3.10
-    try:
-        import sre_parse as _sre_parse
-    except ImportError:
-        _sre_parse = None
+    import sre_parse as _sre_parse
 
 from ._version import __version__
-from .canonical import document_hash
-from .errors import MalformedPattern, PackError
+from .canonical import canonical_loads, document_hash
+from .errors import MalformedPattern, NonCanonicalizable, PackError
 from .lattice import (
     EMPTY_EFFECT_SET,
     AbstractValue,
@@ -562,6 +558,8 @@ class Rule:
         for name in ("rule_id", "pattern", "extract"):
             if not isinstance(getattr(self, name), str):
                 raise PackError(f"malformed rule: {name} {getattr(self, name)!r} is not a string")
+        if not (self.kind is None or isinstance(self.kind, str)):
+            raise PackError(f"malformed rule: kind {self.kind!r} is not a string")
         # bool("false") is True, and a reversible rule makes every write it finds reversible
         if not isinstance(self.reversible, bool):
             raise PackError(f"malformed rule: reversible {self.reversible!r} is not a boolean")
@@ -596,6 +594,12 @@ class RulePack:
         object.__setattr__(self, "reversible_prefixes", tuple(prefixes))
         if self.language not in LANGUAGES:
             raise PackError(f"unknown rule-pack language {self.language!r}")
+        if not isinstance(self.version, str):
+            raise PackError(f"rule-pack version {self.version!r} is not a string")
+        rules = self.rules
+        if not isinstance(rules, (list, tuple)) or not all(isinstance(r, Rule) for r in rules):
+            raise PackError("rules must be a list of Rule values")
+        object.__setattr__(self, "rules", tuple(rules))
         seen: set[str] = set()
         for rule in self.rules:
             if rule.rule_id in seen:
@@ -607,7 +611,7 @@ class RulePack:
                 raise PackError(f"{rule.rule_id}: unknown kind {rule.kind!r}")
             try:
                 _compile(rule.pattern)
-            except re.error as exc:
+            except (re.error, OverflowError, RecursionError) as exc:  # a{4294967296}, ((…))
                 raise PackError(f"{rule.rule_id}: bad pattern: {exc}") from exc
         for prefix in self.reversible_prefixes:
             try:
@@ -644,8 +648,8 @@ def rule_pack_from_dict(doc: Mapping[str, Any]) -> RulePack:
 def load_rule_pack(path: Path | str) -> RulePack:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        doc = canonical_loads(path.read_bytes())
+    except (OSError, NonCanonicalizable) as exc:
         raise PackError(f"{path}: cannot load rule pack: {exc}") from exc
     return rule_pack_from_dict(doc)
 
@@ -759,8 +763,6 @@ def _literal_starts(nodes: Any) -> frozenset[str] | None:
 @lru_cache(maxsize=256)
 def _anchors(pattern: str) -> tuple[str, ...] | None:
     """The anchors of ``pattern``, or None when it has none."""
-    if _sre_parse is None:
-        return None
     parsed = _sre_parse.parse(pattern, re.MULTILINE)
     if parsed.state.flags & re.IGNORECASE:
         return None

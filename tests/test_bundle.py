@@ -352,6 +352,20 @@ def test_malformed_recorded_kmax_degrades(produced, k_max):
     assert not {"sig-invalid", "hash-mismatch:smt"} & set(outcome.reasons)
 
 
+@pytest.mark.parametrize(
+    "smt",
+    [b"[" * 200_000 + b"]" * 200_000, b'{"k_max":8,"k_max":8,"instance_hash":""}', b"\xff"],
+    ids=["deep", "duplicate-key", "not-utf8"],
+)
+def test_signed_smt_that_does_not_read_degrades(produced, smt):
+    # the file matches its signed hash, so only the reader can refuse it
+    skill, _, root, (private, _) = produced
+    slots = read_evidence(skill)
+    slots["smt"] = smt
+    write_signed_evidence(skill, private, "operator-root-2026", slots)
+    assert verify_formal_bundle(skill, root) == VerifyOutcome("declared", ("method-C-fail",))
+
+
 def test_boolean_recorded_kmax_degrades(fixed_skill: Path, keypair):
     # true == 1 in Python, so a k_max=1 bundle rewritten to "k_max": true,
     # with a matching instance hash, re-runs to the very same bytes

@@ -207,6 +207,70 @@ def test_canonical_loads_rejects_float_literals():
         canonical_loads(b'{"x":1.5}')
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"x":1e5}',
+        b"[NaN]",
+        b"[Infinity]",
+        b"[-Infinity]",
+        b'{"a":1,"a":1}',
+        b'{"x":{"b":0,"b":1}}',
+        b'"\\ud800"',
+        b'{"\\udfff":0}',
+        b"[1" + b"0" * 5000 + b"]",
+        b"\xff{}",
+        b'{"a":',
+        b"[" * 65 + b"]" * 65,
+        b"[" * 200_000 + b"]" * 200_000,
+        b"{}{}",
+    ],
+    ids=[
+        "exponent", "nan", "infinity", "minus-infinity", "duplicate-key",
+        "nested-duplicate-key", "lone-surrogate", "lone-surrogate-key", "int-past-digit-limit",
+        "not-utf8", "truncated", "past-max-depth", "deep", "two-documents",
+    ],
+)
+def test_canonical_loads_rejects_what_canonicalize_cannot_write(data):
+    with pytest.raises(NonCanonicalizable):
+        canonical_loads(data)
+
+
+def _nested_lists(depth: int) -> list:
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_canonical_loads_accepts_any_layout_of_a_canonical_value():
+    doc = {"b": [1, -2, 10**30, None, True], "a": {"é": "\u0000"}, "c": _nested_lists(63)}
+    assert canonical_loads(json.dumps(doc, indent=3, ensure_ascii=True).encode()) == doc
+
+
+def test_containers_nest_at_most_64_deep():
+    assert canonicalize(_nested_lists(64)) == b"[" * 64 + b"]" * 64
+    with pytest.raises(NonCanonicalizable):
+        canonicalize(_nested_lists(65))
+    with pytest.raises(NonCanonicalizable):
+        canonicalize({"x": _nested_lists(64)})
+
+
+def test_int_past_digit_limit_is_noncanonicalizable():
+    with pytest.raises(NonCanonicalizable):
+        canonicalize(10**5000)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.binary(max_size=40) | json_docs.map(lambda d: json.dumps(d).encode()))
+def test_canonical_loads_returns_only_what_canonicalize_writes(data):
+    try:
+        value = canonical_loads(data)
+    except NonCanonicalizable:
+        return
+    assert canonical_loads(canonicalize(value)) == value
+
+
 def test_document_hash_is_lowercase_hex():
     digest = document_hash({"a": 1})
     assert len(digest) == 64 and digest == digest.lower()

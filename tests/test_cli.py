@@ -19,6 +19,7 @@ from skillproof.bundle import (
 from skillproof.canonical import canonicalize
 from skillproof.cli import main
 from skillproof.manifest import parse_manifest
+from skillproof.static_analysis import default_rule_packs
 from tests.conftest import trust_root_for, write_worked_skill
 
 
@@ -275,3 +276,96 @@ def test_usage_error_still_emits_json(capsys):
     code, doc, _ = run_cli(capsys, "no-such-command")
     assert code == 2
     assert doc["error"] == "usage"
+
+
+# ---------------------------------------------------------------------------
+# Hostile input files: one JSON line and an exit code in {0,1,2}; a bundle or
+# skill fault is exit 1, only the operator's trust root and packs exit 2
+# ---------------------------------------------------------------------------
+
+DEEP = b"[" * 200_000 + b"]" * 200_000
+ATTEST = "evidence/manifest.attest.json"
+
+
+def _with_attest_field(text: bytes):
+    return lambda data: data[:-1] + b',"x":' + text + b"}"
+
+
+def _duplicated_level(data: bytes) -> bytes:
+    # json.loads keeps the last of two equal keys; a reader that keeps the
+    # first would see "tested"
+    layout = json.dumps(json.loads(data), indent=2)
+    return layout.replace("{", '{\n  "verification_level": "tested",', 1).encode()
+
+
+def _skill_md(caps: str):
+    return lambda data: f"---\ncaps: {caps}\n---\n".encode()
+
+
+@pytest.mark.parametrize(
+    ("file", "rewrite", "command", "code", "expected"),
+    [
+        (ATTEST, lambda _: DEEP, "verify", 1, ["sig-invalid"]),
+        (ATTEST, _with_attest_field(b"1.5"), "verify", 1, ["sig-invalid"]),
+        (ATTEST, _with_attest_field(b"NaN"), "verify", 1, ["sig-invalid"]),
+        (ATTEST, _with_attest_field(b'"\\ud800"'), "verify", 1, ["sig-invalid"]),
+        (ATTEST, _duplicated_level, "verify", 1, ["sig-invalid"]),
+        ("skill.json", lambda _: DEEP, "verify", 1, ["hash-mismatch:manifest"]),
+        ("skill.json", lambda d: d.replace(b'"id": "', b'"id": "\\ud800'), "verify", 1,
+         ["hash-mismatch:manifest"]),
+        ("skill.json", lambda _: DEEP, "analyze", 2, "MalformedManifest"),
+        ("SKILL.md", _skill_md('["pay(\\ud800)"]'), "verify", 1, ["hash-mismatch:manifest"]),
+        ("SKILL.md", _skill_md('["pay(\\ud800)"]'), "probe", 2, "MalformedManifest"),
+        ("SKILL.md", _skill_md("[2020-99-99]"), "verify", 1, ["hash-mismatch:manifest"]),
+        ("SKILL.md", _skill_md("[1" + "0" * 5000 + "]"), "verify", 1, ["hash-mismatch:manifest"]),
+        ("SKILL.md", _skill_md("[" * 5000 + "]" * 5000), "analyze", 2, "MalformedManifest"),
+        ("roots.json", lambda _: DEEP, "verify", 2, "ValueError"),
+        ("packs/shell.json", lambda _: DEEP, "verify", 2, "PackError"),
+    ],
+    ids=[
+        "attest-deep",
+        "attest-float",
+        "attest-nan",
+        "attest-lone-surrogate",
+        "attest-duplicate-level",
+        "skill-json-deep-verify",
+        "skill-json-lone-surrogate",
+        "skill-json-deep-analyze",
+        "skill-md-lone-surrogate-verify",
+        "skill-md-lone-surrogate-probe",
+        "skill-md-impossible-date",
+        "skill-md-int-past-digit-limit",
+        "skill-md-deep",
+        "trust-root-deep",
+        "pack-deep",
+    ],
+)
+def test_hostile_input_file_keeps_the_contract(
+    capsys, tmp_path: Path, file, rewrite, command, code, expected
+):
+    skill = write_worked_skill(tmp_path / "skill", fixed=True)
+    private, public = mint_ephemeral_key()
+    produce_formal_bundle(skill, parse_manifest(skill), private, "op")
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(trust_root_to_json(trust_root_for("op", public))))
+    packs = tmp_path / "packs"
+    packs.mkdir()
+    for pack in default_rule_packs():
+        (packs / f"{pack.language}.json").write_text(json.dumps(pack.to_dict()))
+    if file == "SKILL.md":
+        (skill / "skill.json").unlink()
+    target = skill / file if file in (ATTEST, "skill.json", "SKILL.md") else tmp_path / file
+    target.write_bytes(rewrite(target.read_bytes() if target.exists() else b""))
+
+    argv = [command, str(skill)]
+    if command == "verify":
+        argv += ["--trust-roots", str(roots)]
+    if command != "probe":
+        argv += ["--packs", str(packs)]
+    got, doc, _ = run_cli(capsys, *argv)
+    assert got == code
+    if code == 1:
+        assert doc == {"accepted_level": "declared", "reasons": expected}
+    else:
+        assert doc["error"] == expected
+        assert str(target) in doc["message"]

@@ -137,6 +137,12 @@ def test_malformed_envelope_rejected_at_construction():
             envelope_from_dict(doc)
 
 
+@pytest.mark.parametrize("args", [5, None, [("target", "x")]], ids=["int", "none", "list"])
+def test_envelope_args_that_are_not_a_mapping_are_malformed(args):
+    with pytest.raises(MalformedEnvelope):
+        Envelope("pay", args=args)
+
+
 def test_envelope_from_dict():
     e = envelope_from_dict({"op": "pay", "args": {"target": "x"}, "reasoning": "because"})
     assert e.op == "pay" and e.args == {"target": "x"} and e.reasoning == "because"

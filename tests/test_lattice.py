@@ -144,6 +144,13 @@ def test_path_leq_examples():
     assert not value_leq(PathPrefix("./data.txt.bak"), PathPrefix("./data.txt"))
 
 
+@pytest.mark.parametrize("build", [HostGlob, PathPrefix])
+@pytest.mark.parametrize("text", [5, None, b"example.com", ["./a/"]])
+def test_non_string_pattern_is_malformed(build, text):
+    with pytest.raises(MalformedPattern):
+        build(text)
+
+
 def test_path_normalization():
     assert normalize_path("./.cache/") == "./.cache/"
     assert normalize_path(".cache/") == "./.cache/"

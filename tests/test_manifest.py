@@ -24,9 +24,9 @@ from skillproof.manifest import (
     CapabilityToken,
     Label,
     Manifest,
+    arg_domain,
     capability_kinds,
     declared_kinds,
-    kind_value,
     manifest_to_json_dict,
     parse_capability_token,
     parse_manifest,
@@ -62,13 +62,13 @@ def test_parse_opaque_token():
 
 
 def test_kind_value_lifts_into_the_kind_domain():
-    assert kind_value("net.egress", "*.example.com") == HostGlob("*.example.com")
-    assert kind_value("fs.write.rev", "./a/../b/") == PathPrefix("./b/")
-    assert kind_value("pay", "./a/../b/") == Opaque("./a/../b/")
+    assert arg_domain("net.egress").lift("*.example.com") == HostGlob("*.example.com")
+    assert arg_domain("fs.write.rev").lift("./a/../b/") == PathPrefix("./b/")
+    assert arg_domain("pay").lift("./a/../b/") == Opaque("./a/../b/")
     with pytest.raises(MalformedPattern):
-        kind_value("net.egress", "bad host")
+        arg_domain("net.egress").lift("bad host")
     with pytest.raises(UnknownKind):
-        kind_value("net.ingress", "example.com")
+        arg_domain("net.ingress").lift("example.com")
 
 
 def test_unknown_kind_rejected():

@@ -658,6 +658,31 @@ def test_malformed_pack_constructor_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Rule("sh.fs.rm", r"\brm\b", "shell_path", ["fs.write"]),
+        lambda: RulePack("shell", 1, ()),
+        lambda: RulePack("shell", "1", None),
+        lambda: RulePack("shell", "1", (SH_PACK.rules[0].to_dict(),)),
+    ],
+    ids=["kind-list", "version-int", "rules-none", "rules-dicts"],
+)
+def test_pack_constructor_checks_field_types(build):
+    with pytest.raises(PackError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "pattern", ["a{4294967296}", "(" * 5000 + "a" + ")" * 5000], ids=["repeat-overflow", "deep-groups"]
+)
+def test_pattern_that_does_not_compile_is_a_pack_error(pattern: str):
+    doc = SH_PACK.to_dict()
+    doc["rules"][0]["pattern"] = pattern
+    with pytest.raises(PackError):
+        rule_pack_from_dict(doc)
+
+
 def test_pack_prefixes_leave_other_writes_irreversible():
     doc = SH_PACK.to_dict()
     doc["reversible_prefixes"] = ["./tmp/"]
