@@ -1,29 +1,29 @@
-"""Exhaustive bounded model checking of the audit biconditional.
+"""Bounded model checking of the audit biconditional.
 
 Every abstract envelope trace of length 1..k_max is driven through a runtime
 model; the per-step predicate asks whether a world-state change is matched by
-an admitted audit record (and whether every admit was recorded). UNSAT means
-complete enumeration found no violation; SAT carries a concrete,
-minimal-length counter-example that replays.
+an admitted audit record (and whether every admit was recorded). UNSAT is a
+proof at the bound; SAT carries a concrete, minimal-length counter-example
+that replays. The alphabet is the declared kinds plus OUT (the
+rejected-envelope symbol).
 
-One engine does the enumeration: for each length n = 1..k_max it makes one
-depth-first pass, leftmost symbol first, that steps every prefix once and
-carries the (world, audit) state down the recursion, so memory is O(k_max).
-Only the pass's leaf step is checked, since every shorter trace was already
-found clean by an earlier pass; the first violating leaf is therefore the
+A model that reads the world is enumerated: for each length n = 1..k_max one
+depth-first pass, leftmost symbol first, steps every prefix once and carries
+the (world, audit) state down the recursion, so memory is O(k_max). Only the
+pass's leaf step is checked, since every shorter trace was already found
+clean by an earlier pass; the first violating leaf is therefore the
 minimal-length, leftmost witness, and its steps are the path that reached it.
 
-The alphabet is the declared kinds plus OUT (the rejected-envelope symbol).
-When a model declares itself memoryless in the symbol class, the pass runs
-over one representative per class (IN weighted |kinds|, OUT weighted 1) and
-the verdict reports both the raw (semantic) and reduced (enumerated) counts;
-the reduction is validated against unpruned enumeration in the test suite.
-On a SAT verdict the raw count includes the witness's whole symbol class.
+A memoryless model is decided at length 1 by 1-step induction (Sheeran,
+Singh and Stålmarck, FMCAD 2000): its wiring ignores the world and the gate
+reads only the symbol, so a step's violation class depends only on its
+symbol's class, IN (a declared kind) or OUT. One representative per class is
+stepped once from the initial world, and the counts are written in closed
+form; the test suite checks both against enumeration of the same wirings.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -93,7 +93,7 @@ class RuntimeModel:
     envelope's effect executes, whether an audit record is appended, and
     whether a spurious effect (one no envelope requested) also executes.
     ``memoryless`` declares that all three ignore the world argument, which
-    enables symbol-class pruning.
+    lets ``method_c`` decide the model at length 1.
     """
 
     name: str
@@ -230,20 +230,19 @@ def run_trace(model: RuntimeModel, symbols: Sequence[Symbol]) -> tuple[list[Step
 
 def _traces(
     model: RuntimeModel,
-    weighted: Sequence[tuple[Symbol, int]],
+    sigma: Sequence[Symbol],
     length: int,
     path: tuple[StepOutcome, ...] = (),
-    weight: int = 1,
-) -> Iterator[tuple[tuple[StepOutcome, ...], int]]:
-    """Yield (steps, weight) for every trace of exactly ``length`` symbols
-    extending ``path``, leftmost symbol first, stepping each prefix once."""
+) -> Iterator[tuple[StepOutcome, ...]]:
+    """Yield the steps of every trace of exactly ``length`` symbols extending
+    ``path``, leftmost symbol first, stepping each prefix once."""
     world, audit = (path[-1].world_after, path[-1].audit) if path else (INITIAL_WORLD, EMPTY_AUDIT)
-    for symbol, w in weighted:
+    for symbol in sigma:
         steps = path + (step_model(model, world, audit, symbol, len(path)),)
         if len(steps) == length:
-            yield steps, weight * w
+            yield steps
         else:
-            yield from _traces(model, weighted, length, steps, weight * w)
+            yield from _traces(model, sigma, length, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +319,53 @@ def replay_counter_example(model: RuntimeModel, ce: CounterExample) -> bool:
     return violation == ce.violation_index
 
 
-def _require_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+def _decide_at_length_one(
+    model: RuntimeModel, sigma: Sequence[Symbol], k_max: int
+) -> tuple[CounterExample | None, int, int]:
+    """(witness, explored, enumerated) for a memoryless model.
+
+    Sound by 1-step induction: ``executes``, ``audits`` and ``spurious``
+    ignore the world and the gate reads only the symbol, so every step of
+    every trace violates exactly as its symbol's class does at length 1.
+    The classes are IN, weighted |kinds| (absent without kinds), then OUT,
+    weighted 1, in the order a depth-first pass over them reaches them.
+    Raw counts are over the full alphabet, enumerated counts over the
+    classes, so a SAT verdict's raw count covers the witness's whole class.
+    """
+    n_in = len(sigma) - 1
+    weighted = ([(sigma[0], n_in)] if n_in else []) + [(sigma[-1], 1)]
+    explored = 0
+    for position, (symbol, weight) in enumerate(weighted):
+        step = step_model(model, INITIAL_WORLD, EMPTY_AUDIT, symbol, 0)
+        explored += weight
+        cls = violation_class(step)
+        if cls is not None:
+            return CounterExample((step.symbol_key,), 0, cls, (step,)), explored, position + 1
+    lengths = range(1, k_max + 1)
+    return None, sum(len(sigma) ** n for n in lengths), sum(len(weighted) ** n for n in lengths)
+
+
+def _enumerate(
+    model: RuntimeModel, sigma: Sequence[Symbol], k_max: int
+) -> tuple[CounterExample | None, int, int]:
+    """(witness, explored, enumerated) by stepping every trace, in
+    increasing length and depth-first within each length."""
+    count = 0
+    leaves = (leaf for length in range(1, k_max + 1) for leaf in _traces(model, sigma, length))
+    for count, steps in enumerate(leaves, 1):
+        cls = violation_class(steps[-1])
+        if cls is not None:
+            witness = CounterExample(tuple(s.symbol_key for s in steps), len(steps) - 1, cls, steps)
+            return witness, count, count
+    return None, count, count
 
 
 def method_c(model: RuntimeModel, d_kinds: Sequence[str], k_max: int) -> BmcVerdict:
-    """Enumerate all traces of length 1..k_max in increasing length, DFS
-    within each length; the first violation (minimal length, leftmost) stops
-    the search. UNSAT verdicts carry the complete raw trace count."""
-    _require_positive("k_max", k_max)
+    """Check every trace of length 1..k_max; a SAT verdict carries the
+    minimal-length, leftmost witness, and an UNSAT verdict the complete raw
+    trace count. Bounds beyond exhaustive mode are refused for every model."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     sigma = alphabet(d_kinds)
     size = len(sigma)
     if (
@@ -339,28 +375,11 @@ def method_c(model: RuntimeModel, d_kinds: Sequence[str], k_max: int) -> BmcVerd
         raise BoundTooLarge(
             f"k_max={k_max} over |alphabet|={size} is beyond exhaustive mode "
             f"(k_max <= {DEFAULT_MAX_EXHAUSTIVE_K} within a budget of {DEFAULT_BUDGET} "
-            f"traces); lower k_max, or use the stochastic fallback (not a proof) "
-            f"for longer horizons"
+            f"traces); lower k_max"
         )
-    if model.memoryless:
-        # Symbol-class pruning: one representative per class, weighted by how
-        # many concrete symbols the class stands for.
-        n_in = size - 1
-        weighted = ([(sigma[0], n_in)] if n_in else []) + [(sigma[-1], 1)]
-    else:
-        weighted = [(symbol, 1) for symbol in sigma]
-
-    explored = 0
-    enumerated = 0
-    witness: CounterExample | None = None
-    leaves = (leaf for length in range(1, k_max + 1) for leaf in _traces(model, weighted, length))
-    for steps, weight in leaves:
-        enumerated += 1
-        explored += weight
-        cls = violation_class(steps[-1])
-        if cls is not None:
-            witness = CounterExample(tuple(s.symbol_key for s in steps), len(steps) - 1, cls, steps)
-            break
+    # a wiring that ignores the world is decided at length 1 (1-step induction)
+    decide = _decide_at_length_one if model.memoryless else _enumerate
+    witness, explored, enumerated = decide(model, sigma, k_max)
     return BmcVerdict(
         result="unsat" if witness is None else "sat",
         counter_example=witness,
@@ -370,56 +389,3 @@ def method_c(model: RuntimeModel, d_kinds: Sequence[str], k_max: int) -> BmcVerd
         traces_enumerated=enumerated,
         instance_hash=instance_hash(d_kinds, k_max),
     )
-
-
-# ---------------------------------------------------------------------------
-# Stochastic fallback (explicitly not a proof)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StochasticSearchReport:
-    traces_checked: int
-    counter_example: CounterExample | None
-    note: str = "stochastic random-trace search; absence of a violation is not a proof"
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "checker": {"name": "skillproof-bmc", "version": __version__},
-            "counter_example": (
-                self.counter_example.to_json_dict() if self.counter_example else None
-            ),
-            "note": self.note,
-            "proof": False,
-            "traces_checked": self.traces_checked,
-        }
-
-
-def random_trace_search(
-    model: RuntimeModel,
-    d_kinds: Sequence[str],
-    k_max: int,
-    n_traces: int = 1_000_000,
-    seed: int = 0,
-) -> StochasticSearchReport:
-    """Drive random traces of length 1..k_max through the model. A found
-    violation is a genuine counter-example; finding none proves nothing."""
-    _require_positive("k_max", k_max)
-    _require_positive("n_traces", n_traces)
-    sigma = alphabet(d_kinds)
-    rng = random.Random(seed)
-    for i in range(n_traces):
-        length = rng.randint(1, k_max)
-        symbols = tuple(rng.choice(sigma) for _ in range(length))
-        outcomes, violation = run_trace(model, symbols)
-        if violation is not None:
-            return StochasticSearchReport(
-                traces_checked=i + 1,
-                counter_example=CounterExample(
-                    symbols=tuple(s.key for s in symbols),
-                    violation_index=violation,
-                    violation_class=violation_class(outcomes[violation]),
-                    steps=tuple(outcomes),
-                ),
-            )
-    return StochasticSearchReport(traces_checked=n_traces, counter_example=None)

@@ -14,12 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from ._version import __version__
-from .bmc import (
-    DEFAULT_MAX_EXHAUSTIVE_K,
-    MODEL_FACTORIES,
-    method_c,
-    random_trace_search,
-)
+from .bmc import DEFAULT_MAX_EXHAUSTIVE_K, MODEL_FACTORIES, method_c
 from .bundle import (
     load_private_key,
     load_trust_root,
@@ -90,11 +85,6 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.skill_dir)
     kinds = declared_kinds(manifest)
     model = MODEL_FACTORIES[args.model](kinds)
-    if args.stochastic:
-        report = random_trace_search(model, kinds, args.kmax, n_traces=args.traces)
-        _emit(report.to_json_dict())
-        _note(args.json, "stochastic search only; a clean run is not a proof")
-        return EXIT_PASS if report.counter_example is None else EXIT_FAIL
     verdict = method_c(model, kinds, args.kmax)
     _emit(verdict.to_json_dict())
     if verdict.result == "unsat":
@@ -186,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="runtime model (mutants demonstrate the counter-example path)",
     )
     p_bmc.add_argument("--kmax", type=int, default=DEFAULT_MAX_EXHAUSTIVE_K)
-    p_bmc.add_argument(
-        "--stochastic",
-        action="store_true",
-        help="random-trace fallback for bounds beyond exhaustive mode (not a proof)",
-    )
-    p_bmc.add_argument("--traces", type=int, default=100_000, help="stochastic trace count")
     p_bmc.set_defaults(func=_cmd_bmc)
 
     p_produce = sub.add_parser("produce", help="produce the signed evidence bundle")
@@ -228,8 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (SkillproofError, OSError, ValueError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
+        # a path that is not UTF-8 puts lone surrogates into the message
+        message = str(exc).encode("utf-8", "backslashreplace").decode()
+        _emit({"error": type(exc).__name__, "message": message})
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -12,6 +12,7 @@ them), so constructs inside strings still count toward the effect set.
 from __future__ import annotations
 
 import heapq
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial, reduce
@@ -81,11 +82,14 @@ def discover_scripts(skill_dir: Path | str) -> list[Script]:
         if rel == "SKILL.md" or rel.split("/", 1)[0] == "evidence":
             continue
         raw = path.read_bytes()
+        # a name that is not UTF-8 enters the evidence as escaped text, and
+        # the script taints as undecodable
+        script_id = os.fsencode(rel).decode("utf-8", "backslashreplace")
         try:
-            source, decode_ok = raw.decode("utf-8"), True
+            source, decode_ok = raw.decode("utf-8"), script_id == rel
         except UnicodeDecodeError:
             source, decode_ok = "", False
-        scripts.append(Script(rel, LANGUAGE_EXTENSIONS[path.suffix], source, decode_ok))
+        scripts.append(Script(script_id, LANGUAGE_EXTENSIONS[path.suffix], source, decode_ok))
     return scripts
 
 

@@ -3,6 +3,7 @@ cross-checked against an independent breadth-first oracle."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import replace
@@ -22,7 +23,6 @@ from skillproof.bmc import (
     method_c,
     mutant_execute_on_deny,
     mutant_skip_audit_on_admit,
-    random_trace_search,
     replay_counter_example,
     run_trace,
     step_model,
@@ -230,6 +230,37 @@ def test_pruned_equals_unpruned_for_small_alphabets():
                     ), name
 
 
+WIRINGS = {
+    "never": lambda decision, world: False,
+    "always": lambda decision, world: True,
+    "on-admit": lambda decision, world: decision == "admit",
+    "on-deny": lambda decision, world: decision == "deny",
+}
+
+
+def test_length_one_decision_equals_enumeration_for_every_memoryless_wiring():
+    # every wiring that ignores the world: executes, audits and spurious each
+    # one of four predicates on the decision, 64 wirings in all
+    for (ex, executes), (au, audits), (sp, spurious) in itertools.product(
+        WIRINGS.items(), repeat=3
+    ):
+        model = RuntimeModel(f"{ex}/{au}/{sp}", True, executes, audits, spurious)
+        for n_kinds in range(0, 4):
+            kinds = [f"k{i}" for i in range(n_kinds)]
+            for k_max in range(1, 5):
+                decided = method_c(model, kinds, k_max)
+                raw = method_c(unpruned(model), kinds, k_max)
+                case = (model.name, n_kinds, k_max)
+                assert decided.result == raw.result, case
+                if raw.result == "sat":
+                    assert (
+                        decided.counter_example.to_json_dict()
+                        == raw.counter_example.to_json_dict()
+                    ), case
+                else:
+                    assert decided.traces_explored == raw.traces_explored, case
+
+
 def test_each_prefix_stepped_once_per_pass():
     calls = 0
 
@@ -268,9 +299,8 @@ def test_bound_too_large_over_budget():
 
 
 def test_bound_refused_beyond_exhaustive_mode():
-    # within budget but past the honest exhaustive bound: refused with the
-    # stochastic fallback named
-    with pytest.raises(BoundTooLarge, match="stochastic"):
+    # within budget but past the honest exhaustive bound: refused
+    with pytest.raises(BoundTooLarge, match="exhaustive"):
         method_c(faithful_runtime(KINDS2), KINDS2, 9)
 
 
@@ -316,16 +346,3 @@ def test_completeness_random_simulator_million_traces():
             outcome = step_model(model, world, audit, symbol, i)
             assert not violation_predicate(outcome)
             world, audit = outcome.world_after, outcome.audit
-
-
-def test_random_trace_search_finds_mutant_violation():
-    model = mutant_execute_on_deny(KINDS2)
-    report = random_trace_search(model, KINDS2, 4, n_traces=10_000, seed=5)
-    assert report.counter_example is not None
-    assert replay_counter_example(model, report.counter_example)
-
-
-def test_random_trace_search_clean_is_not_a_proof():
-    report = random_trace_search(faithful_runtime(KINDS2), KINDS2, 4, n_traces=2_000)
-    assert report.counter_example is None
-    assert report.to_json_dict()["proof"] is False

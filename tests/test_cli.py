@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,53 @@ def test_analyze_nonexistent_dir_exit_2(capsys, tmp_path: Path):
     assert "error" in doc
 
 
+def test_analyze_non_utf8_missing_dir_keeps_the_contract(capsys, tmp_path: Path):
+    # the lone surrogate that stands for the \xff byte is escaped in the message
+    missing = os.fsdecode(os.fsencode(tmp_path) + b"/\xff-missing")
+    code = main(["analyze", missing])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert out.encode() == canonicalize(json.loads(out)) + b"\n"
+    assert "\\udcff-missing" in json.loads(out)["message"]
+
+
+def _add_non_utf8_script(skill: Path) -> None:
+    Path(os.fsdecode(os.fsencode(skill) + b"/x\xff.py")).write_text("print('hi')\n")
+
+
+def test_analyze_non_utf8_script_name_taints_exit_1(capsys, fixed_skill: Path):
+    _add_non_utf8_script(fixed_skill)
+    code, doc, _ = run_cli(capsys, "analyze", str(fixed_skill))
+    assert code == 1
+    assert [(v["reason"], v["provenance"][0]["file"]) for v in doc["verdict"]["violations"]] == [
+        ("unanalyzable-language", "x\\xff.py")
+    ]
+
+
+def test_analyze_escaped_name_collision_still_taints(capsys, fixed_skill: Path):
+    # a clean script named with the escaped text of the non-UTF-8 name gets
+    # the same id; the tainted entry must win
+    (fixed_skill / "x\\xff.py").write_text("print('hi')\n")
+    _add_non_utf8_script(fixed_skill)
+    code, doc, _ = run_cli(capsys, "analyze", str(fixed_skill))
+    assert code == 1
+    assert doc["verdict"]["contained"] is False
+    assert [v["reason"] for v in doc["verdict"]["violations"]] == ["unanalyzable-language"]
+
+
+def test_verify_after_non_utf8_script_appears_exit_1(capsys, tmp_path: Path):
+    skill = write_worked_skill(tmp_path / "skill", fixed=True)
+    private, public = mint_ephemeral_key()
+    produce_formal_bundle(skill, parse_manifest(skill), private, "op")
+    _add_non_utf8_script(skill)
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(trust_root_to_json(trust_root_for("op", public))))
+    code, doc, _ = run_cli(capsys, "verify", str(skill), "--trust-roots", str(roots))
+    assert code == 1
+    assert "method-A-cache-miss" in doc["reasons"]
+
+
 def test_analyze_json_flag_silences_stderr(capsys, fixed_skill: Path):
     _, _, err = run_cli(capsys, "analyze", str(fixed_skill), "--json")
     assert err == ""
@@ -88,24 +136,18 @@ def test_bmc_mutant_exit_1_with_counter_example(capsys, fixed_skill: Path):
     assert doc["result"]["counter_example"]["symbols"] == ["OUT"]
 
 
-def test_bmc_stochastic_fallback(capsys, fixed_skill: Path):
-    code, doc, _ = run_cli(
-        capsys, "bmc", str(fixed_skill), "--kmax", "12", "--stochastic", "--traces", "500"
-    )
-    assert code == 0
-    assert doc["proof"] is False
-
-
-@pytest.mark.parametrize(
-    ("extra", "message"),
-    [(("--kmax", "0"), "k_max must be at least 1"), (("--traces", "0"), "n_traces must be at least 1")],
-    ids=["kmax-0", "traces-0"],
-)
-def test_bmc_stochastic_bad_bounds_exit_2(capsys, fixed_skill: Path, extra, message):
-    code, doc, _ = run_cli(capsys, "bmc", str(fixed_skill), "--stochastic", *extra)
+def test_bmc_kmax_0_exit_2(capsys, fixed_skill: Path):
+    code, doc, _ = run_cli(capsys, "bmc", str(fixed_skill), "--kmax", "0")
     assert code == 2
     assert doc["error"] == "ValueError"
-    assert doc["message"] == message
+    assert doc["message"] == "k_max must be at least 1"
+
+
+def test_bmc_stochastic_is_a_usage_error(capsys, fixed_skill: Path):
+    # Method C is a proof method; there is no random-trace fallback
+    code, doc, _ = run_cli(capsys, "bmc", str(fixed_skill), "--stochastic")
+    assert code == 2
+    assert doc["error"] == "usage"
 
 
 def test_produce_ephemeral_prints_public_key(capsys, fixed_skill: Path):
